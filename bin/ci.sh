@@ -224,8 +224,10 @@ fi
 # Admission + cancellation smoke: a deliberately starved server (one
 # evaluation slot, one queue slot, 200ms deadline) hit by a burst of
 # poison cross-join queries must (a) reject overflow with busy, (b)
-# cooperatively cancel the poison it does admit, and (c) still answer a
-# fresh query immediately afterwards.
+# cooperatively cancel the poison it does admit, (c) still answer a
+# fresh query immediately afterwards, and (d) end with exactly the fds it
+# had before the burst: every connection, admitted or turned away busy,
+# must be closed again.
 echo "== saturation smoke (admission busy + cooperative cancellation) =="
 POISON_LOG=_build/ci/poison_server.log
 ./_build/default/bin/pb_server.exe --port 0 --size 80 --seed 7 \
@@ -243,6 +245,12 @@ if [ -z "$POISON_PORT" ]; then
   cat "$POISON_LOG"
   kill "$POISON_PID" 2>/dev/null || true
   exit 1
+fi
+POISON_FDS_BEFORE=""
+if [ -d "/proc/$POISON_PID/fd" ]; then
+  POISON_FDS_BEFORE=$(ls "/proc/$POISON_PID/fd" | wc -l)
+else
+  echo "note: /proc/$POISON_PID/fd absent; skipping the fd-leak check"
 fi
 ./_build/default/bench/main.exe --loadgen --port "$POISON_PORT" \
   --clients 6 --requests 4 --workload bench/workloads/net_poison.txt \
@@ -276,6 +284,22 @@ if ! grep -q "80" _build/ci/poison_fresh.txt; then
   cat _build/ci/poison_fresh.txt
   kill "$POISON_PID" 2>/dev/null || true
   exit 1
+fi
+if [ -n "$POISON_FDS_BEFORE" ]; then
+  # closes of the last clients' connections land within a poll interval
+  i=0
+  while [ $i -lt 50 ]; do
+    POISON_FDS_AFTER=$(ls "/proc/$POISON_PID/fd" | wc -l)
+    [ "$POISON_FDS_AFTER" -eq "$POISON_FDS_BEFORE" ] && break
+    i=$((i + 1))
+    sleep 0.1
+  done
+  if [ "$POISON_FDS_AFTER" -ne "$POISON_FDS_BEFORE" ]; then
+    echo "CI FAIL: saturation pb_server holds $POISON_FDS_AFTER fds after the"
+    echo "         poison burst, $POISON_FDS_BEFORE before (connection fd leak)"
+    kill "$POISON_PID" 2>/dev/null || true
+    exit 1
+  fi
 fi
 kill -TERM "$POISON_PID"
 POISON_EXIT=0

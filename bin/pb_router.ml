@@ -71,14 +71,6 @@ let metrics_port_arg =
            histograms) and /healthz (aggregated per-shard health) over \
            HTTP/1.1 on this port; 0 picks an ephemeral one.")
 
-let serve_mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("event", Pb_net.Server.Event); ("threads", Pb_net.Server.Threads) ])
-        Pb_net.Server.Event
-    & info [ "serve-mode" ] ~docv:"MODE"
-        ~doc:"Client connection handling: $(b,event) (default) or $(b,threads).")
-
 let parse_endpoint spec =
   match String.rindex_opt spec ':' with
   | Some i -> (
@@ -90,7 +82,7 @@ let parse_endpoint spec =
   | None -> failwith (Printf.sprintf "--shard expects HOST:PORT, got %S" spec)
 
 let serve host port shards max_conns max_inflight max_queue deadline
-    connect_timeout metrics_port serve_mode =
+    connect_timeout metrics_port =
   let shards = Array.of_list (List.map parse_endpoint shards) in
   let connect_timeout =
     if connect_timeout > 0.0 then Some connect_timeout else None
@@ -113,7 +105,6 @@ let serve host port shards max_conns max_inflight max_queue deadline
       max_queue;
       default_deadline = (if deadline > 0.0 then Some deadline else None);
       plan_cache_capacity = 0;
-      serve_mode;
     }
   in
   let server =
@@ -156,7 +147,7 @@ let cmd =
     Term.(
       const serve $ host_arg $ port_arg $ shards_arg $ max_conns_arg
       $ max_inflight_arg $ max_queue_arg $ deadline_arg $ connect_timeout_arg
-      $ metrics_port_arg $ serve_mode_arg)
+      $ metrics_port_arg)
   in
   Cmd.v
     (Cmd.info "pb_router" ~version:"1.0.0"

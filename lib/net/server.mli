@@ -8,31 +8,26 @@
     package" is per-client while the data itself is shared — exactly
     the shared-DBMS, per-session model of the paper.
 
-    {2 Serving modes}
+    {2 Serving model}
 
-    [Event] (the default): one event-loop thread multiplexes every
-    connection over an epoll/poll readiness {!Poller}. Connections are
-    non-blocking; incoming bytes feed a per-connection incremental
-    {!Assembler}, complete requests go to a bounded job queue served by
-    a pool of [max_inflight] worker threads, and responses flow back
-    through per-connection write buffers flushed on writability. An
+    One event-loop thread multiplexes every connection over an
+    epoll/poll readiness {!Poller}. Connections are non-blocking;
+    incoming bytes feed a per-connection incremental {!Assembler},
+    complete requests go to a bounded job queue served by a pool of
+    [max_inflight] worker threads, and responses flow back through
+    per-connection queues of encoded frames flushed on writability. An
     idle connection costs its buffers — no thread, no stack — so
     thousands of mostly-idle clients are cheap.
 
-    [Threads]: the v2 baseline — one accept thread plus one blocking
-    thread per live connection. Kept for comparison benchmarks
-    ([--serve-mode threads]) and as the reference semantics.
-
-    Both modes share the same admission limits: when [max_connections]
-    sessions are live, further clients are sent one [busy] frame and
-    closed immediately; and at most [max_inflight] requests evaluate
-    concurrently, with up to [max_queue] more parked (blocked threads in
-    [Threads] mode, queued jobs in [Event] mode) — a request arriving
-    past both limits is answered [busy] at once and the connection stays
-    usable (backpressure, not unbounded buffering). Queue depth and
-    in-flight count are exported as the [pb_net_queue_depth] and
-    [pb_net_inflight_requests] gauges; the event loop additionally
-    exports [pb_net_open_connections] and
+    Admission: when [max_connections] sessions are live, further clients
+    are sent one [busy] frame and closed immediately; at most
+    [max_inflight] requests evaluate concurrently, with up to [max_queue]
+    more queued — a request arriving past both limits is answered [busy]
+    at once and the connection stays usable (backpressure, not unbounded
+    buffering). The job queue's length and the executing count are the
+    one record of load: the admission check, {!health_json} and the
+    [pb_net_queue_depth] and [pb_net_inflight_requests] gauges all read
+    them. The loop also exports [pb_net_open_connections] and
     [pb_net_eventloop_wakeups_total].
 
     Deadlines: a request carrying a deadline (or inheriting
@@ -45,7 +40,7 @@
     [pb_net_cancelled_total].
 
     The server-level [\healthz] command is answered with {!health_json}
-    {e before} admission in both modes, so a saturated or draining
+    {e before} admission, so a saturated or draining
     server still reports its state over the query wire — the shard
     router's health aggregation relies on this.
 
@@ -55,25 +50,22 @@
     connections close within one poll interval. {!join} blocks until
     the drain completes. *)
 
-type serve_mode =
-  | Threads  (** thread per connection (v2 baseline) *)
-  | Event  (** event-driven readiness loop + bounded worker pool *)
-
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** TCP port; [0] picks an ephemeral port (see {!port}) *)
   max_connections : int;  (** live-session cap; excess get [busy] *)
   max_inflight : int;
-      (** requests evaluating concurrently (the worker-pool size in
-          [Event] mode); clamped to >= 1 *)
+      (** requests evaluating concurrently (the worker-pool size);
+          clamped to >= 1 *)
   max_queue : int;
-      (** requests parked waiting for an in-flight slot; a request
-          arriving when the queue is full is answered [busy] *)
+      (** requests queued waiting for an in-flight slot; clamped to
+          >= 0; a request arriving when the queue is full is answered
+          [busy] *)
   default_deadline : float option;
       (** applied to requests that carry no deadline; [None] = unlimited *)
   poll_interval : float;
       (** seconds between stop-flag checks while idle; bounds shutdown
-          latency in both modes *)
+          latency *)
   plan_cache_capacity : int;
       (** entries in the shared prepared-plan cache; [0] disables caching
           (every request re-parses — the benchmark baseline) *)
@@ -83,13 +75,12 @@ type config = {
           tracing entirely — requests evaluate without a span context or
           progress recorder, leaving span creation on its disabled fast
           path *)
-  serve_mode : serve_mode;  (** default [Event] *)
 }
 
 val default_config : config
 (** [127.0.0.1:7878], 64 connections, 64 in-flight requests with a
     128-deep admission queue, no default deadline, 50ms poll, 128 cached
-    plans, 256 retained traces, event mode. *)
+    plans, 256 retained traces. *)
 
 type t
 
@@ -105,7 +96,7 @@ val start :
   ?session_factory:(t -> session_handler) ->
   Pb_sql.Database.t ->
   t
-(** Bind, listen, and spawn the serving thread; returns immediately.
+(** Bind, listen, and spawn the event-loop thread; returns immediately.
     [session_factory] is called once per connection, lazily at its first
     request. Ignores [SIGPIPE] process-wide (a client hanging up
     mid-response must not kill the server). Raises [Unix.Unix_error] if
@@ -131,8 +122,9 @@ val request_stop : t -> unit
 (** Begin graceful shutdown. Async-signal-safe; returns immediately. *)
 
 val join : t -> unit
-(** Block until the server has fully stopped: serving thread exited, all
-    connections drained, listen socket closed. Does {e not} itself
+(** Block until the server has fully stopped: event-loop thread exited
+    (which it does only once every connection has drained), listen socket
+    closed. Does {e not} itself
     initiate shutdown. Safe to call from several threads. *)
 
 val shutdown : t -> unit

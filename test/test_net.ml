@@ -331,33 +331,6 @@ let qcheck_assembler_malformed_stream =
       let a = assembler_decode (slices_of_cuts stream cuts) in
       (match snd b with `Bad _ -> true | `End -> false) && a = b)
 
-(* ---- serve modes ------------------------------------------------------ *)
-
-(* The default config exercises the event loop everywhere else in this
-   file; this is the regression net for the legacy thread-per-connection
-   path, which stays selectable via --serve-mode threads. *)
-let test_threads_mode_loopback () =
-  let config = { test_config with Server.serve_mode = Server.Threads } in
-  Server.with_server ~config (make_db 40) (fun server ->
-      let port = Server.port server in
-      Client.with_connection ~port (fun c ->
-          let count = ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes") in
-          Alcotest.(check bool) "sql counts" true (contains count "40");
-          let health = ok_or_fail (Client.request c "\\healthz") in
-          Alcotest.(check bool) "healthz answers" true
-            (contains health "\"status\":\"ok\""));
-      (* concurrent sessions still isolated *)
-      let results = Array.make 4 "" in
-      let worker i () =
-        Client.with_connection ~port (fun c ->
-            results.(i) <- ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes"))
-      in
-      let threads = List.init 4 (fun i -> Thread.create (worker i) ()) in
-      List.iter Thread.join threads;
-      Array.iter
-        (fun r -> Alcotest.(check bool) "each client served" true (contains r "40"))
-        results)
-
 (* Pipelining backpressure regression: a client that writes many request
    frames in one burst must get every response, in order. The event loop
    drops read interest while a request is in flight, so the burst drains
@@ -867,8 +840,8 @@ let wait_gauges_zero () =
   go 60
 
 (* Regression: the admission gauges must return to zero when a handler
-   raises (the \panic crash lever) — the release sits in a Fun.protect,
-   not on the happy path. *)
+   raises (the \panic crash lever) — the worker catches the raise and
+   still releases its slot. *)
 let test_gauges_zero_after_handler_raise () =
   Server.with_server ~config:test_config (make_db 20) (fun server ->
       Client.with_connection ~port:(Server.port server) (fun c ->
@@ -948,6 +921,143 @@ let test_http_handler_endpoints () =
       | None -> ()
       | Some _ -> Alcotest.fail "unknown path served")
 
+(* ---- event loop under load ------------------------------------------- *)
+
+(* Open a raw socket to the server with a small receive window, so a
+   large response stalls in the server's send path and has to be
+   resumed over several writable events. *)
+let raw_connect server =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+  fd
+
+let write_all fd s =
+  let n = String.length s in
+  let rec wr off =
+    if off < n then wr (off + Unix.write_substring fd s off (n - off))
+  in
+  wr 0
+
+(* Read one frame in [chunk]-byte reads, pausing [pause] seconds after
+   every [every] reads: a reader far slower than the server's writes. *)
+let read_frame_slowly ?(on_progress = fun _ -> ()) ~chunk ~every ~pause fd =
+  let asm = Pb_net.Assembler.create () in
+  let buf = Bytes.create chunk in
+  let rec go reads total =
+    match Pb_net.Assembler.next asm with
+    | `Frame p -> p
+    | `Bad m -> Alcotest.fail ("framing error: " ^ m)
+    | `Awaiting -> (
+        match Unix.read fd buf 0 chunk with
+        | 0 -> Alcotest.fail "server closed mid-frame"
+        | n ->
+            Pb_net.Assembler.feed asm ~len:n (Bytes.sub_string buf 0 n);
+            on_progress (total + n);
+            if (reads + 1) mod every = 0 then Thread.delay pause;
+            go (reads + 1) (total + n))
+  in
+  go 0 0
+
+(* A response many times the socket buffer, drained by a slow reader,
+   arrives byte-identical, and the event loop keeps serving another
+   client meanwhile instead of blocking on the slow one. *)
+let test_large_response_slow_reader () =
+  let big =
+    String.init (4 * 1024 * 1024) (fun i ->
+        Char.chr (Char.code 'a' + ((i * 7) + (i / 4096)) mod 26))
+  in
+  let db = make_db 40 in
+  let session_factory _server =
+    let session = Pb_shell.Repl.create db in
+    fun ~gov text ->
+      if String.trim text = "\\big" then
+        { Pb_shell.Repl.output = big; quit = false }
+      else Pb_shell.Repl.handle ~gov session text
+  in
+  Server.with_server ~config:test_config ~session_factory db (fun server ->
+      let fd = raw_connect server in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_all fd (frame_bytes (Protocol.encode_hello Protocol.version));
+          ignore (read_frame_slowly ~chunk:4096 ~every:1 ~pause:0.0 fd);
+          write_all fd
+            (frame_bytes
+               (Protocol.encode_request
+                  {
+                    Protocol.text = "\\big";
+                    deadline = None;
+                    trace = None;
+                    data = false;
+                  }));
+          let other = ref None in
+          let on_progress total =
+            if !other = None && total >= 1024 * 1024 then
+              Client.with_connection ~port:(Server.port server) (fun c ->
+                  other :=
+                    Some (ok_or_fail (Client.request c "SELECT COUNT(*) FROM recipes")))
+          in
+          let payload =
+            read_frame_slowly ~on_progress ~chunk:4096 ~every:8 ~pause:0.001 fd
+          in
+          (match Protocol.decode_response payload with
+          | Ok { Protocol.status = Protocol.Ok; body } ->
+              Alcotest.(check int) "body length" (String.length big)
+                (String.length body);
+              Alcotest.(check bool) "body byte-identical" true (body = big)
+          | Ok r ->
+              Alcotest.fail
+                ("unexpected status " ^ Protocol.status_to_string r.Protocol.status)
+          | Error e -> Alcotest.fail e);
+          match !other with
+          | Some count ->
+              Alcotest.(check bool) "second client served meanwhile" true
+                (contains count "40")
+          | None -> Alcotest.fail "second client never ran");
+      let rec settle n =
+        if gauge "pb_net_open_connections" = 0.0 then ()
+        else if n = 0 then
+          Alcotest.fail
+            (Printf.sprintf "open connections stuck at %g"
+               (gauge "pb_net_open_connections"))
+        else begin
+          Thread.delay 0.02;
+          settle (n - 1)
+        end
+      in
+      settle 100)
+
+(* \healthz reads the same admission counters the event loop admits
+   against: a request in flight on the single slot shows up as load, and
+   the load is gone once that request's deadline cancels it. *)
+let test_healthz_reports_load () =
+  let config = { test_config with max_inflight = 1; max_queue = 0 } in
+  Server.with_server ~config (make_db 120) (fun server ->
+      let port = Server.port server in
+      Client.with_connection ~port (fun a ->
+          Client.with_connection ~port (fun b ->
+              let slow =
+                Thread.create
+                  (fun () -> ignore (Client.request ~deadline:0.6 a slow_sql))
+                  ()
+              in
+              Thread.delay 0.15;
+              let busy = ok_or_fail (Client.request b "\\healthz") in
+              Alcotest.(check bool) ("in flight: " ^ busy) true
+                (contains busy "\"inflight\":1");
+              Alcotest.(check bool) ("saturated: " ^ busy) true
+                (contains busy "\"status\":\"saturated\"");
+              Thread.join slow;
+              let idle = ok_or_fail (Client.request b "\\healthz") in
+              List.iter
+                (fun field ->
+                  Alcotest.(check bool) (field ^ " in " ^ idle) true
+                    (contains idle field))
+                [
+                  "\"inflight\":0"; "\"queued\":0"; "\"status\":\"ok\"";
+                ])))
+
 let suite =
   [
     Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
@@ -989,8 +1099,10 @@ let suite =
       `Quick test_gauges_zero_after_disconnect;
     Alcotest.test_case "http handler endpoints" `Quick
       test_http_handler_endpoints;
-    Alcotest.test_case "threads serve-mode loopback" `Quick
-      test_threads_mode_loopback;
+    Alcotest.test_case "large response to a slow reader" `Quick
+      test_large_response_slow_reader;
+    Alcotest.test_case "healthz reports admission load" `Quick
+      test_healthz_reports_load;
     Alcotest.test_case "event loop serves a pipelined burst" `Quick
       test_event_pipelined_burst;
     Alcotest.test_case "connect timeout is bounded" `Quick test_connect_timeout;
