@@ -668,15 +668,15 @@ let exp_a1 () =
            f.destination = h.destination AND f.is_flight = 1 AND h.is_hotel \
            = 1 AND f.price + h.price <= 2500"
       in
-      let eval schema row e = Pb_sql.Executor.eval_expr ~db schema row e in
+      let compile = Pb_sql.Executor.compile_expr ~db in
       let (planned, stats), planned_t =
         Stats.timeit (fun () ->
-            Pb_sql.Planner.execute db ~eval ~from:q.Pb_sql.Ast.from
+            Pb_sql.Planner.execute db ~compile ~from:q.Pb_sql.Ast.from
               ~where:q.Pb_sql.Ast.where)
       in
       let naive, naive_t =
         Stats.timeit (fun () ->
-            Pb_sql.Planner.naive db ~eval ~from:q.Pb_sql.Ast.from
+            Pb_sql.Planner.naive db ~compile ~from:q.Pb_sql.Ast.from
               ~where:q.Pb_sql.Ast.where)
       in
       assert (
@@ -964,18 +964,18 @@ let micro_benchmarks () =
   Table.print ~align:[ Table.Left; Table.Right ]
     ~header:[ "operation"; "time/run" ] rows
 
-(* ---- SQL expression-compilation micro-benchmarks ------------------------ *)
+(* ---- SQL-layer micro-benchmarks ---------------------------------------- *)
 
 let sql_json_out = ref "BENCH_sql.json"
 
-(* Four hot paths of the SQL layer, each timed with expression compilation
-   off (tree-walking interpreter) and on (pre-resolved closures), plus the
-   prepared-plan cache cold vs warm. Medians of repeated runs after one
-   warm-up; results land in a table and in --sql-json (BENCH_sql.json). *)
+(* SQL-layer micro-benchmarks: the row engine against the columnar one on
+   the same statements, tracing overhead, and the prepared-plan cache cold
+   vs warm. Medians of repeated runs after one warm-up; results land in a
+   table and in --sql-json (BENCH_sql.json). *)
 let sql_bench () =
-  header "SQL" "expression compilation: interpreted vs compiled hot paths"
-    "perf substrate (DESIGN.md): one-pass expr->closure compilation, \
-     memoized schema resolution, and the server-side prepared-plan cache";
+  header "SQL" "SQL layer: storage engines, tracing overhead, plan cache"
+    "perf substrate (DESIGN.md): columnar batch kernels, per-operator \
+     tracing, and the server-side prepared-plan cache";
   let median_time ?(repeat = 5) f =
     ignore (f ());
     let ts =
@@ -985,27 +985,12 @@ let sql_bench () =
   in
   (* (case, [metric name, seconds], speedup) *)
   let results : (string * (string * float) list * float) list ref = ref [] in
-  let was_enabled = Pb_sql.Compile.is_enabled () in
   let was_mode = Pb_store.Mode.current () in
-  (* The interpreted-vs-compiled duels measure the row engine; pin row
-     storage so the columnar fast path doesn't short-circuit both sides. *)
-  Pb_store.Mode.set Pb_store.Mode.Row;
-  let duel name ?repeat f =
-    Pb_sql.Compile.set_enabled false;
-    let interp = median_time ?repeat f in
-    Pb_sql.Compile.set_enabled true;
-    let compiled = median_time ?repeat f in
-    let speedup = interp /. Float.max 1e-9 compiled in
-    results :=
-      (name, [ ("interpreted_s", interp); ("compiled_s", compiled) ], speedup)
-      :: !results
-  in
-  (* Row-vs-columnar duels: the row side keeps expression compilation on
-     (the row engine at its best), the columnar side runs the batch
-     kernels. The warm-up call inside [median_time] builds the columnar
-     image, so timings exclude the one-off conversion. *)
+  (* Row-vs-columnar duels: the row side runs compiled closures, the
+     columnar side the batch kernels. The warm-up call inside
+     [median_time] builds the columnar image, so timings exclude the
+     one-off conversion. *)
   let store_duel name ?repeat f =
-    Pb_sql.Compile.set_enabled true;
     Pb_store.Mode.set Pb_store.Mode.Row;
     let row = median_time ?repeat f in
     Pb_store.Mode.set Pb_store.Mode.Columnar;
@@ -1017,55 +1002,6 @@ let sql_bench () =
   in
   let scan_n = if !quick then 4000 else 20_000 in
   let db = recipes_db scan_n in
-  (* expression-heavy single-table predicate: arithmetic, OR, LIKE *)
-  duel "filter_scan" (fun () ->
-      ignore
-        (Pb_sql.Executor.execute_sql db
-           "SELECT id FROM recipes WHERE calories * 2 + protein - fat > 420 \
-            AND (cost / 2.0 < 6.5 OR rating >= 4.5) AND name LIKE '%ra%' AND \
-            gluten = 'free'"));
-  (* inequality join predicates cannot use the hash join, so every surviving
-     product row evaluates the compiled conjuncts; a narrow projection of
-     the recipes table keeps product-row materialization from drowning out
-     predicate evaluation *)
-  let join_n = if !quick then 40 else 70 in
-  let jdb = Pb_sql.Database.create () in
-  let () =
-    let module R = Pb_relation.Relation in
-    let module S = Pb_relation.Schema in
-    let src = Pb_workload.Workload.recipes ~seed:7 ~n:join_n () in
-    let sch = R.schema src in
-    let keep = [ "id"; "calories"; "protein"; "fat"; "cost" ] in
-    let idxs =
-      List.map
-        (fun c ->
-          match S.index_of sch c with Some i -> i | None -> assert false)
-        keep
-    in
-    let narrow_schema =
-      S.make (List.map (fun i -> List.nth (S.columns sch) i) idxs)
-    in
-    let rows =
-      Array.to_list
-        (Array.map
-           (fun row -> Array.of_list (List.map (fun i -> row.(i)) idxs))
-           (R.rows src))
-    in
-    Pb_sql.Database.put jdb "meals" (R.create narrow_schema rows)
-  in
-  duel "three_way_ineq_join" ~repeat:3 (fun () ->
-      ignore
-        (Pb_sql.Executor.execute_sql jdb
-           "SELECT a.id, b.id, c.id FROM meals a, meals b, meals c WHERE \
-            (a.calories - b.calories) * (b.protein - c.protein) + abs(a.fat \
-            - b.fat) * 3 - abs(b.fat - c.fat) > -90000 AND b.protein < \
-            c.protein AND a.cost + b.cost + c.cost < 18.0 AND a.calories < \
-            b.calories"));
-  duel "grouped_aggregate" (fun () ->
-      ignore
-        (Pb_sql.Executor.execute_sql db
-           "SELECT cuisine, COUNT(*), SUM(calories), AVG(cost) FROM recipes \
-            WHERE protein > 10 GROUP BY cuisine ORDER BY cuisine"));
   (* Storage-engine duels (PB_STORE row vs columnar), same statements. *)
   store_duel "store_filter_scan" (fun () ->
       ignore
@@ -1132,7 +1068,6 @@ let sql_bench () =
       [ ("traced_s", traced); ("untraced_s", untraced) ],
       traced /. Float.max 1e-9 untraced )
     :: !results;
-  Pb_sql.Compile.set_enabled was_enabled;
   (* prepared-statement repetition on a small table, so lex/parse/compile
      dominates execution: cold clears the plan cache before every request,
      warm reuses the cached (AST, closure memo) entry *)
@@ -1204,9 +1139,9 @@ let sql_bench () =
   close_out oc;
   Printf.printf "sql bench results written to %s\n" !sql_json_out;
   print_endline
-    "shape check: compiled closures beat the interpreter most where the\n\
-     same expression runs over many rows (scan, inequality join); the plan\n\
-     cache removes lex/parse/compile entirely from repeated statements."
+    "shape check: the columnar kernels beat the row engine most on wide\n\
+     scans and duplicate-heavy aggregates; tracing costs a few percent at\n\
+     most; the plan cache removes lex/parse/compile from repeated statements."
 
 (* ---- S1: SketchRefine scaling over synthetic candidate relations -------- *)
 
@@ -1891,7 +1826,7 @@ let run_sql_bench = ref false
 let run_paql_scale = ref false
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -1973,7 +1908,9 @@ let () =
         | Some k when k >= 1 -> Pb_par.Pool.set_default_size k
         | _ -> prerr_endline ("ignoring invalid --domains value: " ^ n));
         parse rest
-    | _ :: rest -> parse rest
+    | flag :: _ ->
+        Printf.eprintf "bench: unknown flag or missing value: %s\n" flag;
+        exit 2
   in
   parse args;
   if !run_loadgen then

@@ -461,4 +461,20 @@ for pid in "$SH0_PID" "$SH1_PID" "$ONE_PID"; do
   fi
 done
 
+# The SQL micro-benchmark suite must keep running end to end. This is a
+# smoke test at --quick sizes, not a timing gate: it checks only that
+# the suite exits 0 and writes every case to its JSON file.
+echo "== sql bench smoke (bench/main.exe --sql --quick) =="
+if ! ./_build/default/bench/main.exe --sql --quick \
+  --sql-json _build/ci/bench_sql.json >_build/ci/bench_sql.txt 2>&1; then
+  echo "CI FAIL: bench/main.exe --sql --quick failed; output follows"
+  cat _build/ci/bench_sql.txt
+  exit 1
+fi
+if ! grep -q '"name":"prepared_repeat_x100"' _build/ci/bench_sql.json; then
+  echo "CI FAIL: bench_sql.json is missing its last case:"
+  cat _build/ci/bench_sql.json
+  exit 1
+fi
+
 echo "CI OK"

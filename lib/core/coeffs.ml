@@ -49,13 +49,9 @@ type t = {
 let tuple_values_of ?batch ~pkg_schema ~rows expr =
   let by_rows () =
     (* One compile per aggregate argument, one closure call per tuple. No
-       db in the fallback: validation arguments are row-local (a subquery
-       here errors identically to the old interpreter call). *)
-    let eval_row =
-      Pb_sql.Compile.expr
-        ~fallback:(fun row e -> Pb_sql.Executor.eval_expr pkg_schema row e)
-        pkg_schema expr
-    in
+       db: validation arguments are row-local (a subquery here errors
+       identically to the interpreter call). *)
+    let eval_row = Pb_sql.Executor.compile_expr pkg_schema expr in
     Array.map
       (fun row ->
         match Value.to_float (eval_row row) with

@@ -96,15 +96,10 @@ let candidates db (q : Ast.t) =
       | None -> qualified
       | Some pred ->
           let schema = Relation.schema qualified in
-          (* The base predicate runs once per input tuple: compile it,
-             keeping the interpreter (with db, for subqueries) as
-             fallback. *)
-          let pred_fn =
-            Pb_sql.Compile.predicate
-              ~fallback:(fun row e -> Executor.eval_expr ~db schema row e)
-              schema pred
-          in
-          Relation.filter pred_fn qualified)
+          (* The base predicate runs once per input tuple: compile it
+             (with db, for subqueries). *)
+          let pred_fn = Executor.compile_expr ~db schema pred in
+          Relation.filter (fun row -> Value.truthy (pred_fn row)) qualified)
 
 let empty_package db (q : Ast.t) =
   Package.create (candidates db q) ~alias:q.package_alias

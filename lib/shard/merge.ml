@@ -11,28 +11,6 @@ let scratch_name = "__partials"
 
 (* ---- expression walks ------------------------------------------------- *)
 
-let rec exists_expr p (e : Ast.expr) =
-  p e
-  ||
-  match e with
-  | Ast.Lit _ | Ast.Col _ -> false
-  | Ast.Unary_minus a | Ast.Not a | Ast.Is_null (a, _) | Ast.Like (a, _, _) ->
-      exists_expr p a
-  | Ast.Binop (_, a, b) -> exists_expr p a || exists_expr p b
-  | Ast.Between (a, b, c) ->
-      exists_expr p a || exists_expr p b || exists_expr p c
-  | Ast.In_list (a, es, _) -> exists_expr p a || List.exists (exists_expr p) es
-  | Ast.In_query (a, _, _) -> exists_expr p a
-  | Ast.Exists _ -> false
-  | Ast.Agg (_, eo) -> Option.fold ~none:false ~some:(exists_expr p) eo
-  | Ast.Func (_, es) -> List.exists (exists_expr p) es
-  | Ast.Case (arms, eo) ->
-      List.exists (fun (c, v) -> exists_expr p c || exists_expr p v) arms
-      || Option.fold ~none:false ~some:(exists_expr p) eo
-
-let has_subquery =
-  exists_expr (function Ast.In_query _ | Ast.Exists _ -> true | _ -> false)
-
 let rec collect_aggs acc (e : Ast.expr) =
   match e with
   | Ast.Agg _ ->
@@ -107,7 +85,7 @@ let shipped_cols_only =
   in
   fun e ->
     not
-      (exists_expr (function Ast.Col c -> not (ok c) | _ -> false) e)
+      (Ast.exists_expr (function Ast.Col c -> not (ok c) | _ -> false) e)
 
 let rec dedup_names = function
   | [] -> false
@@ -133,7 +111,7 @@ let plan ~table (q : Ast.select) : plan option =
         @ Option.to_list q.Ast.having
         @ order_exprs
       in
-      if List.exists has_subquery all_exprs then None
+      if List.exists Ast.has_subquery all_exprs then None
       else
         let aggs =
           List.fold_left collect_aggs []

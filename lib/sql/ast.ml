@@ -88,6 +88,28 @@ let agg_to_string = function
   | Min -> "MIN"
   | Max -> "MAX"
 
+(* [exists_expr p e]: does [p] hold at some node of [e]? The walk stops
+   at subquery boundaries: a subquery's own expressions are not visited. *)
+let rec exists_expr p e =
+  p e
+  ||
+  match e with
+  | Lit _ | Col _ | Exists _ -> false
+  | Unary_minus a | Not a | Is_null (a, _) | Like (a, _, _) | In_query (a, _, _)
+    ->
+      exists_expr p a
+  | Binop (_, a, b) -> exists_expr p a || exists_expr p b
+  | Between (a, b, c) -> exists_expr p a || exists_expr p b || exists_expr p c
+  | In_list (a, es, _) -> exists_expr p a || List.exists (exists_expr p) es
+  | Agg (_, eo) -> Option.fold ~none:false ~some:(exists_expr p) eo
+  | Func (_, es) -> List.exists (exists_expr p) es
+  | Case (arms, eo) ->
+      List.exists (fun (c, v) -> exists_expr p c || exists_expr p v) arms
+      || Option.fold ~none:false ~some:(exists_expr p) eo
+
+let has_subquery =
+  exists_expr (function In_query _ | Exists _ -> true | _ -> false)
+
 (* Precedence levels used by both the parser and the pretty-printer so
    that printing then reparsing yields the same tree. *)
 let binop_precedence = function

@@ -115,24 +115,20 @@ let binop_value op a b =
   | And -> Value.logical_and a b
   | Or -> Value.logical_or a b
 
-let enabled =
-  Atomic.make
-    (match Sys.getenv_opt "PB_SQL_COMPILE" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 type fallback = Value.t array -> Ast.expr -> Value.t
 
 (* The interpreter evaluates n-ary nodes in a specific order (OCaml's
    right-to-left function-argument order for Binop/Between, left-to-right
    List traversal elsewhere). The compiled closures pin the same order with
    explicit lets so that when two subexpressions both raise, the surfaced
-   exception is the interpreter's — part of the bit-identical contract. *)
-let rec compile ~fallback schema e : Value.t array -> Value.t =
-  let c e = compile ~fallback schema e in
+   exception is the interpreter's — part of the bit-identical contract.
+
+   No span here: a single expression compiles in microseconds and this
+   runs everywhere (including before a query's root span opens); the
+   traced compile is the memoized one below, which sits inside a
+   statement's span tree. *)
+let rec expr ~fallback schema e : Value.t array -> Value.t =
+  let c e = expr ~fallback schema e in
   match e with
   | Lit v -> fun _row -> v
   | Col name -> (
@@ -211,18 +207,6 @@ let rec compile ~fallback schema e : Value.t array -> Value.t =
         in
         walk cbranches
 
-(* No span here: a single expression compiles in microseconds and this
-   runs everywhere (including before a query's root span opens); the
-   traced compile is the memoized one below, which sits inside a
-   statement's span tree. *)
-let expr ~fallback schema e =
-  if not (Atomic.get enabled) then fun row -> fallback row e
-  else compile ~fallback schema e
-
-let predicate ~fallback schema e =
-  let f = expr ~fallback schema e in
-  fun row -> Value.truthy (f row)
-
 module Memo = struct
   type key = Ast.expr * Schema.column list
 
@@ -239,7 +223,7 @@ module Memo = struct
     Mutex.unlock t.mu;
     n
 
-  let expr t ~fallback schema e =
+  let memoized t ~fallback schema e =
     let key = (e, Schema.columns schema) in
     Mutex.lock t.mu;
     match Hashtbl.find_opt t.tbl key with
@@ -264,4 +248,11 @@ module Memo = struct
         in
         Mutex.unlock t.mu;
         f
+
+  (* A subquery closure holds its caller's fallback, which carries that
+     request's governance token; it must not outlive the request, so such
+     expressions are compiled afresh on every call. *)
+  let expr t ~fallback schema e =
+    if Ast.has_subquery e then expr ~fallback schema e
+    else memoized t ~fallback schema e
 end

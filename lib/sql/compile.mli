@@ -1,5 +1,6 @@
-(** Expression → closure compilation: the hot-path replacement for the
-    tree-walking interpreter ({!Executor.eval_expr}).
+(** Expression → closure compilation: the row evaluator every production
+    call site uses. The tree-walking interpreter ({!Executor.eval_expr})
+    stays as its differential oracle and as the subquery fallback.
 
     [expr] makes one pass over an {!Ast.expr} and returns a
     [Value.t array -> Value.t] closure in which
@@ -46,18 +47,11 @@ val scalar_function :
 val binop_value :
   Ast.binop -> Pb_relation.Value.t -> Pb_relation.Value.t -> Pb_relation.Value.t
 
-val set_enabled : bool -> unit
-(** Global toggle (also settable via [PB_SQL_COMPILE=0]): when disabled,
-    {!expr} returns a closure that defers every node to the fallback
-    interpreter — used by the bench harness to measure the interpreter
-    against the compiler on identical plans. *)
-
-val is_enabled : unit -> bool
-
 type fallback = Pb_relation.Value.t array -> Ast.expr -> Pb_relation.Value.t
-(** Interpreter callback for subquery nodes, closing over the schema (and
-    database, when the caller has one) — normally
-    [fun row e -> Executor.eval_expr ?db schema row e]. *)
+(** Interpreter callback for subquery nodes, closing over the schema, the
+    database and the request's governance token. {!Executor.compile_expr}
+    builds it from {!Executor.eval_expr}; outside the executor, only the
+    differential tests call {!expr} directly. *)
 
 val expr :
   fallback:fallback ->
@@ -67,14 +61,6 @@ val expr :
   Pb_relation.Value.t
 (** Compile an expression against a schema. The first two applications
     perform the compilation; the resulting closure evaluates one row. *)
-
-val predicate :
-  fallback:fallback ->
-  Pb_relation.Schema.t ->
-  Ast.expr ->
-  Pb_relation.Value.t array ->
-  bool
-(** [expr] composed with SQL truthiness ([Bool true] only). *)
 
 (** Memoized compilation for prepared plans: a mutex-guarded table keyed
     by (expression, schema columns), so re-executing a cached statement
@@ -94,8 +80,8 @@ module Memo : sig
     Ast.expr ->
     Pb_relation.Value.t array ->
     Pb_relation.Value.t
-  (** Like {!val:Compile.expr}, consulting the memo first. The fallback
-      of the {e first} compilation is captured in the cached closure, so
-      every caller of a given memo must supply an equivalent fallback
-      (same database). *)
+  (** Like {!val:Compile.expr}, consulting the memo first. Expressions
+      containing a subquery are never memoized: their closure captures
+      [fallback], and with it the caller's governance token, so they are
+      compiled afresh on every call. *)
 end

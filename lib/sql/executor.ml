@@ -32,11 +32,14 @@ let like_match = Compile.like_match
 let scalar_function = Compile.scalar_function
 let binop_value = Compile.binop_value
 
-(* Mutually recursive with [select] because of IN/EXISTS subqueries.
-   [gov] rides along so subquery evaluation inherits the request's
-   governance token. *)
-let rec eval_expr ?db ?gov schema row e =
-  let ev e = eval_expr ?db ?gov schema row e in
+(* The one tree-walking interpreter: the compiled closures' oracle, their
+   subquery fallback, and the group evaluator. Mutually recursive with
+   [select] because of IN/EXISTS subqueries; [gov] rides along so
+   subquery evaluation inherits the request's governance token. [group]
+   is read only by [Agg] nodes: over a group, [row] is its representative
+   and aggregates reduce the whole group. *)
+let rec eval ?db ?gov ?group schema row e =
+  let ev e = eval ?db ?gov ?group schema row e in
   match e with
   | Lit v -> v
   | Col name -> row.(Schema.index_of_exn schema name)
@@ -79,16 +82,66 @@ let rec eval_expr ?db ?gov schema row e =
           let hit = like_match ~pattern s in
           Value.Bool (if neg then not hit else hit)
       | v -> err "LIKE on non-string value %s" (Value.to_string v))
-  | Agg (f, _) -> err "aggregate %s outside GROUP context" (agg_to_string f)
+  | Agg (f, arg) -> (
+      match group with
+      | None -> err "aggregate %s outside GROUP context" (agg_to_string f)
+      | Some group -> aggregate ?db ?gov schema group f arg)
   | Func (name, args) -> scalar_function name (List.map ev args)
-  | Case (branches, default) -> eval_case ev branches default
+  | Case (branches, default) ->
+      let rec walk = function
+        | [] -> ( match default with Some e -> ev e | None -> Value.Null)
+        | (cond, value) :: rest ->
+            if Value.truthy (ev cond) then ev value else walk rest
+      in
+      walk branches
 
-and eval_case ev branches default =
-  let rec walk = function
-    | [] -> ( match default with Some e -> ev e | None -> Value.Null)
-    | (cond, value) :: rest -> if Value.truthy (ev cond) then ev value else walk rest
-  in
-  walk branches
+(* Aggregate arguments are evaluated row by row, without the group, so a
+   nested aggregate is an error. *)
+and aggregate ?db ?gov schema group f arg =
+  match (f, arg) with
+  | Count_star, _ -> Value.Int (List.length group)
+  | f, None -> err "%s requires an argument" (agg_to_string f)
+  | f, Some arg -> (
+      let values =
+        List.filter_map
+          (fun r ->
+            let v = eval ?db ?gov schema r arg in
+            if Value.is_null v then None else Some v)
+          group
+      in
+      match (f, values) with
+      | Count, vs -> Value.Int (List.length vs)
+      | Count_star, _ -> Value.Int (List.length group)
+      | _, [] -> Value.Null
+      | Sum, vs ->
+          let all_int = List.for_all (function Value.Int _ -> true | _ -> false) vs in
+          if all_int then
+            Value.Int
+              (List.fold_left
+                 (fun acc v -> acc + Option.get (Value.to_int v))
+                 0 vs)
+          else
+            Value.Float
+              (List.fold_left
+                 (fun acc v ->
+                   match Value.to_float v with
+                   | Some x -> acc +. x
+                   | None -> err "SUM over non-numeric value")
+                 0.0 vs)
+      | Avg, vs ->
+          let total =
+            List.fold_left
+              (fun acc v ->
+                match Value.to_float v with
+                | Some x -> acc +. x
+                | None -> err "AVG over non-numeric value")
+              0.0 vs
+          in
+          Value.Float (total /. float_of_int (List.length vs))
+      | Min, v :: vs ->
+          List.fold_left (fun a b -> if Value.compare_values b a < 0 then b else a) v vs
+      | Max, v :: vs ->
+          List.fold_left (fun a b -> if Value.compare_values b a > 0 then b else a) v vs)
 
 and eval_agg_expr ?db ?gov schema group e =
   let representative =
@@ -96,98 +149,7 @@ and eval_agg_expr ?db ?gov schema group e =
     | r :: _ -> r
     | [] -> Array.make (Schema.arity schema) Value.Null
   in
-  let rec ev e =
-    match e with
-    | Agg (Count_star, _) -> Value.Int (List.length group)
-    | Agg (f, Some arg) -> reduce f arg
-    | Agg (f, None) -> err "%s requires an argument" (agg_to_string f)
-    | Lit v -> v
-    | Col name -> representative.(Schema.index_of_exn schema name)
-    | Unary_minus e -> Value.neg (ev e)
-    | Not e -> Value.logical_not (ev e)
-    | Binop (op, a, b) -> binop_value op (ev a) (ev b)
-    | Between (e, lo, hi) ->
-        let v = ev e in
-        Value.logical_and
-          (Value.cmp_bool (fun c -> c >= 0) v (ev lo))
-          (Value.cmp_bool (fun c -> c <= 0) v (ev hi))
-    | In_list (e, items, neg) ->
-        let v = ev e in
-        let hit = List.exists (fun it -> Value.equal v (ev it)) items in
-        Value.Bool (if neg then not hit else hit)
-    | In_query (lhs, sub, neg) -> (
-        match db with
-        | None -> err "IN subquery requires a database context"
-        | Some db ->
-            (* The lhs may itself aggregate over the group. *)
-            let v = ev lhs in
-            let rel = select ?gov db sub in
-            if Relation.cardinality rel > 0 && Schema.arity (Relation.schema rel) <> 1
-            then err "IN subquery must return one column"
-            else
-              let hit =
-                Array.exists (fun r -> Value.equal v r.(0)) (Relation.rows rel)
-              in
-              Value.Bool (if neg then not hit else hit))
-    | Exists sub -> (
-        match db with
-        | None -> err "EXISTS subquery requires a database context"
-        | Some db -> Value.Bool (Relation.cardinality (select ?gov db sub) > 0))
-    | Is_null (e, neg) ->
-        let null = Value.is_null (ev e) in
-        Value.Bool (if neg then not null else null)
-    | Like (lhs, pattern, neg) -> (
-        match ev lhs with
-        | Value.Null -> Value.Null
-        | Value.Str s ->
-            let hit = like_match ~pattern s in
-            Value.Bool (if neg then not hit else hit)
-        | v -> err "LIKE on non-string value %s" (Value.to_string v))
-    | Func (name, args) -> scalar_function name (List.map ev args)
-    | Case (branches, default) -> eval_case ev branches default
-  and reduce f arg =
-    let values =
-      List.filter_map
-        (fun r ->
-          let v = eval_expr ?db ?gov schema r arg in
-          if Value.is_null v then None else Some v)
-        group
-    in
-    match (f, values) with
-    | Count, vs -> Value.Int (List.length vs)
-    | Count_star, _ -> Value.Int (List.length group)
-    | _, [] -> Value.Null
-    | Sum, vs ->
-        let all_int = List.for_all (function Value.Int _ -> true | _ -> false) vs in
-        if all_int then
-          Value.Int
-            (List.fold_left
-               (fun acc v -> acc + Option.get (Value.to_int v))
-               0 vs)
-        else
-          Value.Float
-            (List.fold_left
-               (fun acc v ->
-                 match Value.to_float v with
-                 | Some x -> acc +. x
-                 | None -> err "SUM over non-numeric value")
-               0.0 vs)
-    | Avg, vs ->
-        let total =
-          List.fold_left
-            (fun acc v ->
-              match Value.to_float v with
-              | Some x -> acc +. x
-              | None -> err "AVG over non-numeric value")
-            0.0 vs
-        in
-        Value.Float (total /. float_of_int (List.length vs))
-    | Min, v :: vs ->
-        List.fold_left (fun a b -> if Value.compare_values b a < 0 then b else a) v vs
-    | Max, v :: vs ->
-        List.fold_left (fun a b -> if Value.compare_values b a > 0 then b else a) v vs
-  in
-  ev e
+  eval ?db ?gov ~group schema representative e
 
 and select ?memo ?gov db q =
   let base = select_simple ?memo ?gov db q in
@@ -197,22 +159,14 @@ and select ?memo ?gov db q =
     base q.compound
 
 (* Compile one row-local expression, through the prepared-plan memo when the
-   statement came from the cache. The fallback closes over [db] so subquery
-   nodes re-enter the interpreter with the same context. *)
+   statement came from the cache. The fallback closes over [db] and [gov]
+   so subquery nodes re-enter the interpreter with the request's context;
+   the memo never caches such closures. *)
 and compile_row ?db ?gov ?memo schema e =
+  let fallback row e = eval ?db ?gov schema row e in
   match memo with
-  | Some m ->
-      (* Memoized closures are cached across requests by the plan cache,
-         so the fallback must NOT close over this request's governance
-         token — a stale token baked into a cached plan could cancel a
-         later, healthy request.  Subqueries reached through a memoized
-         plan therefore run un-governed (the enclosing operator loops
-         still poll). *)
-      let fallback row e = eval_expr ?db schema row e in
-      Compile.Memo.expr m ~fallback schema e
-  | None ->
-      let fallback row e = eval_expr ?db ?gov schema row e in
-      Compile.expr ~fallback schema e
+  | Some m -> Compile.Memo.expr m ~fallback schema e
+  | None -> Compile.expr ~fallback schema e
 
 (* Key used for duplicate detection in DISTINCT and set operations:
    numerics normalize (3 = 3.0), types otherwise separate so Int 1 and
@@ -284,9 +238,7 @@ and select_simple ?memo ?gov db q =
   | None ->
   let filtered, _plan_stats =
     try
-      Planner.execute ?gov db
-        ~eval:(fun schema row e -> eval_expr ~db ?gov schema row e)
-        ~compile:(fun schema e -> compile_row ~db ?gov ?memo schema e)
+      Planner.execute ?gov db ~compile:(compile_row ~db ?gov ?memo)
         ~from:q.from ~where:q.where
     with Failure msg -> err "%s" msg
   in
@@ -455,9 +407,9 @@ and select_simple ?memo ?gov db q =
   Trace.add_count "rows_out" rows_out;
   Relation.create out_schema (List.map fst pairs))
 
-and eval_const ?db e =
-  let empty = Schema.make [] in
-  eval_expr ?db empty [||] e
+let eval_expr ?db ?gov schema row e = eval ?db ?gov schema row e
+let eval_const ?db e = eval ?db (Schema.make []) [||] e
+let compile_expr ?db ?gov schema e = compile_row ?db ?gov schema e
 
 let execute ?memo ?gov db stmt =
   match stmt with

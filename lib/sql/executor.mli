@@ -21,9 +21,21 @@ val eval_expr :
   Pb_relation.Value.t array ->
   Ast.expr ->
   Pb_relation.Value.t
-(** Evaluate a scalar expression against one row. Aggregate nodes raise
-    {!Eval_error} here (they only make sense over a group); subqueries need
-    [db] and inherit [gov]. *)
+(** The tree-walking interpreter: evaluate a scalar expression against one
+    row. It is the differential oracle for {!compile_expr} and its subquery
+    fallback. Aggregate nodes raise {!Eval_error} here (they only make
+    sense over a group); subqueries need [db] and inherit [gov]. *)
+
+val compile_expr :
+  ?db:Database.t ->
+  ?gov:Pb_util.Gov.t ->
+  Pb_relation.Schema.t ->
+  Ast.expr ->
+  Pb_relation.Value.t array ->
+  Pb_relation.Value.t
+(** The production row evaluator: {!Compile.expr} with {!eval_expr} (same
+    [db] and [gov]) as the subquery fallback. This is the
+    {!Planner.compile_fn} the executor runs plans with. *)
 
 val eval_const : ?db:Database.t -> Ast.expr -> Pb_relation.Value.t
 (** Evaluate a row-independent expression (literals/arithmetic). *)
@@ -35,11 +47,12 @@ val eval_agg_expr :
   Pb_relation.Value.t array list ->
   Ast.expr ->
   Pb_relation.Value.t
-(** Evaluate an expression over a group of rows: aggregate nodes reduce
-    the whole group, other column references resolve against the first
-    row (the group-by representative). This is exactly the semantics the
-    package validator reuses to check SUCH THAT constraints, treating the
-    candidate package as one group. *)
+(** Evaluate an expression over a group of rows: {!eval_expr} with the
+    group attached, so aggregate nodes reduce the whole group and other
+    column references resolve against the first row (the group-by
+    representative; all NULLs for an empty group). This is exactly the
+    semantics the package validator reuses to check SUCH THAT
+    constraints, treating the candidate package as one group. *)
 
 val select :
   ?memo:Compile.Memo.t ->
@@ -54,12 +67,8 @@ val select :
     [gov] is the request's governance token: it is polled (sampled)
     inside every planner and executor loop, and a stop raises
     {!Pb_util.Gov.Interrupted} — SQL has no useful partial result, so
-    cancellation abandons the statement outright. One caveat: the
-    fallback interpreter baked into {e memoized} compiled closures is
-    deliberately gov-free (those closures are cached across requests by
-    the plan cache, and a stale token must not cancel a later request),
-    so subqueries reached through a cached plan run un-governed; the
-    enclosing operator loops still poll. *)
+    cancellation abandons the statement outright. Subqueries run under
+    [gov] too, cached plan or not. *)
 
 val execute :
   ?memo:Compile.Memo.t -> ?gov:Pb_util.Gov.t -> Database.t -> Ast.statement -> result

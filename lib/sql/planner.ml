@@ -82,8 +82,6 @@ let m_pushed_predicates =
   Metrics.counter ~help:"Predicates applied below the top of the join tree"
     "pb_sql_pushed_predicates_total"
 
-type eval_fn = Schema.t -> Value.t array -> Ast.expr -> Value.t
-
 type compile_fn = Schema.t -> Ast.expr -> Value.t array -> Value.t
 
 type stats = {
@@ -136,7 +134,7 @@ let load db { rel_name; alias } =
   let qualifier = Option.value alias ~default:rel_name in
   (rel_name, Relation.rename qualifier rel)
 
-let naive db ~eval ~from ~where =
+let naive db ~compile ~from ~where =
   match from with
   | [] -> failwith "empty FROM clause"
   | first :: rest ->
@@ -149,10 +147,8 @@ let naive db ~eval ~from ~where =
       (match where with
       | None -> source
       | Some pred ->
-          let schema = Relation.schema source in
-          Relation.filter
-            (fun row -> Value.truthy (eval schema row pred))
-            source)
+          let pred = compile (Relation.schema source) pred in
+          Relation.filter (fun row -> Value.truthy (pred row)) source)
 
 (* ---- single-table scan with optional index access ------------------- *)
 
@@ -403,14 +399,7 @@ let governed_product ?gov a b =
 
 (* ---- the plan -------------------------------------------------------- *)
 
-let execute ?compile ?gov db ~eval ~from ~where =
-  (* Callers that don't compile (e.g. the naive ablation in \plan) get a
-     degenerate compile_fn that closes over the interpreter. *)
-  let compile =
-    match compile with
-    | Some f -> f
-    | None -> fun schema e row -> eval schema row e
-  in
+let execute ?gov db ~compile ~from ~where =
   Trace.with_span ~name:"sql.plan" (fun () ->
   match from with
   | [] -> failwith "empty FROM clause"

@@ -107,13 +107,13 @@ let prop_planner_equivalent =
       let db = db_of_tables t in
       ignore (Executor.execute_sql db "CREATE INDEX ON t1 (b)");
       let q = Pb_sql.Parser.parse_select ("SELECT * FROM t1, t2 WHERE " ^ where) in
-      let eval schema row e = Executor.eval_expr ~db schema row e in
+      let compile = Executor.compile_expr ~db in
       let planned, _ =
-        Pb_sql.Planner.execute db ~eval ~from:q.Pb_sql.Ast.from
+        Pb_sql.Planner.execute db ~compile ~from:q.Pb_sql.Ast.from
           ~where:q.Pb_sql.Ast.where
       in
       let naive =
-        Pb_sql.Planner.naive db ~eval ~from:q.Pb_sql.Ast.from
+        Pb_sql.Planner.naive db ~compile ~from:q.Pb_sql.Ast.from
           ~where:q.Pb_sql.Ast.where
       in
       let canon rel =

@@ -344,6 +344,26 @@ let test_repl_dump () =
       Alcotest.(check bool) "recipes survived" true
         (Database.find db2 "recipes" <> None))
 
+(* Every SQL line goes through the plan cache, whose memoized closures
+   outlive the request. A subquery in such a statement must still run
+   under the request's governance token: here each of the 60 outer rows
+   re-runs a 60^3-row product, which takes many seconds ungoverned. *)
+let test_repl_cached_subquery_deadline () =
+  let db = Database.create () in
+  Database.put db "recipes" (Pb_workload.Workload.recipes ~seed:7 ~n:60 ());
+  let st = Repl.create db in
+  let sql =
+    "SELECT COUNT(*) FROM recipes WHERE id IN (SELECT a.id FROM recipes a, \
+     recipes b, recipes c WHERE a.calories + b.calories + c.calories > 0)"
+  in
+  let gov = Pb_util.Gov.create ~deadline_in:0.3 () in
+  let t0 = Unix.gettimeofday () in
+  let r = Repl.handle ~gov st sql in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "cancelled" "cancelled: deadline" r.Repl.output;
+  if elapsed > 2.0 then
+    Alcotest.failf "deadline 0.3s, returned after %.1fs" elapsed
+
 let suite =
   [
     Alcotest.test_case "persist roundtrip" `Quick test_persist_roundtrip;
@@ -375,4 +395,6 @@ let suite =
     Alcotest.test_case "repl paql parse error" `Quick test_repl_paql_parse_error;
     Alcotest.test_case "repl plan" `Quick test_repl_plan;
     Alcotest.test_case "repl dump" `Quick test_repl_dump;
+    Alcotest.test_case "repl cached subquery honours deadline" `Quick
+      test_repl_cached_subquery_deadline;
   ]

@@ -391,6 +391,110 @@ let test_prepared_execution_matches_fresh () =
   Alcotest.(check (list string)) "first prepared run" [ fresh ] (run ());
   Alcotest.(check (list string)) "repeat prepared run" [ fresh ] (run ())
 
+(* Pin for [Executor.eval_agg_expr], the evaluator the package validator
+   uses for SUCH THAT constraints: every expression node kind over a fixed
+   3-row group and over the empty group. Bare columns read the group's
+   first row (all NULLs for the empty group); aggregate arguments are
+   evaluated row by row, so a nested aggregate is an error. *)
+let test_eval_agg_expr_pin () =
+  let schema =
+    Pb_relation.Schema.make
+      [
+        { Pb_relation.Schema.name = "id"; ty = Value.T_int };
+        { Pb_relation.Schema.name = "name"; ty = Value.T_str };
+        { Pb_relation.Schema.name = "cal"; ty = Value.T_int };
+        { Pb_relation.Schema.name = "cost"; ty = Value.T_float };
+      ]
+  in
+  let group =
+    [
+      [| Value.Int 1; Value.Str "bob"; Value.Int 300; Value.Float 2.5 |];
+      [| Value.Int 2; Value.Str "alice"; Value.Int 200; Value.Null |];
+      [| Value.Int 3; Value.Str "carol"; Value.Int 100; Value.Float 1.25 |];
+    ]
+  in
+  let db = Database.create () in
+  ignore (Executor.execute_sql db "CREATE TABLE s (k INT)");
+  ignore (Executor.execute_sql db "INSERT INTO s VALUES (1), (5)");
+  let ok v = Ok v and error msg = Error msg in
+  let parse = Parser.parse_expr in
+  (* (label, expression, over the 3-row group, over the empty group) *)
+  let cases =
+    [
+      ("count star", parse "COUNT(*)", ok (Value.Int 3), ok (Value.Int 0));
+      ("count skips null", parse "COUNT(cost)", ok (Value.Int 2), ok (Value.Int 0));
+      ("sum int", parse "SUM(cal)", ok (Value.Int 600), ok Value.Null);
+      ("sum float", parse "SUM(cost)", ok (Value.Float 3.75), ok Value.Null);
+      ("avg", parse "AVG(cal)", ok (Value.Float 200.0), ok Value.Null);
+      ("min string", parse "MIN(name)", ok (Value.Str "alice"), ok Value.Null);
+      ("max string", parse "MAX(name)", ok (Value.Str "carol"), ok Value.Null);
+      ( "case over aggregate",
+        parse "CASE WHEN SUM(cal) > 500 THEN 'big' ELSE 'small' END",
+        ok (Value.Str "big"),
+        ok (Value.Str "small") );
+      ("like on representative", parse "name LIKE 'b%'", ok (Value.Bool true), ok Value.Null);
+      ( "not like on aggregate",
+        parse "MAX(name) NOT LIKE '%o%'",
+        ok (Value.Bool false),
+        ok Value.Null );
+      ( "in list",
+        parse "COUNT(*) IN (1, 2, 3)",
+        ok (Value.Bool true),
+        ok (Value.Bool false) );
+      ( "in subquery",
+        parse "id IN (SELECT k FROM s)",
+        ok (Value.Bool true),
+        ok (Value.Bool false) );
+      ( "exists",
+        parse "EXISTS (SELECT k FROM s WHERE k > 4)",
+        ok (Value.Bool true),
+        ok (Value.Bool true) );
+      ("bare column", parse "id", ok (Value.Int 1), ok Value.Null);
+      ( "arithmetic",
+        parse "-SUM(cal) + COUNT(*) * 2",
+        ok (Value.Int (-594)),
+        ok Value.Null );
+      ( "between and not",
+        parse "NOT (COUNT(*) BETWEEN 1 AND 3)",
+        ok (Value.Bool false),
+        ok (Value.Bool true) );
+      ("is null", parse "cost IS NULL", ok (Value.Bool false), ok (Value.Bool true));
+      ("function", parse "abs(MIN(cal) - 150)", ok (Value.Int 50), ok Value.Null);
+      ( "missing argument",
+        Ast.Agg (Ast.Sum, None),
+        error "SUM requires an argument",
+        error "SUM requires an argument" );
+      ( "nested aggregate",
+        parse "SUM(COUNT(*))",
+        error "aggregate COUNT outside GROUP context",
+        ok Value.Null );
+    ]
+  in
+  let run group e =
+    match Executor.eval_agg_expr ~db schema group e with
+    | v -> Ok v
+    | exception Executor.Eval_error msg -> Error msg
+  in
+  let show = function
+    | Ok v -> "Ok " ^ Value.to_string v
+    | Error msg -> "Error " ^ msg
+  in
+  let check label expected got =
+    let same =
+      match (expected, got) with
+      | Ok a, Ok b -> Stdlib.compare a b = 0
+      | Error a, Error b -> a = b
+      | _ -> false
+    in
+    if not same then
+      Alcotest.failf "%s: expected %s, got %s" label (show expected) (show got)
+  in
+  List.iter
+    (fun (label, e, over_three, over_empty) ->
+      check (label ^ " (3 rows)") over_three (run group e);
+      check (label ^ " (empty)") over_empty (run [] e))
+    cases
+
 let suite =
   [
     Alcotest.test_case "lexer basics" `Quick test_lexer_basics;
@@ -427,4 +531,6 @@ let suite =
       test_plan_cache_eviction;
     Alcotest.test_case "prepared execution matches fresh" `Quick
       test_prepared_execution_matches_fresh;
+    Alcotest.test_case "eval_agg_expr pin (3 rows, empty)" `Quick
+      test_eval_agg_expr_pin;
   ]
