@@ -1293,7 +1293,7 @@ let paql_scale () =
   Printf.printf "paql scale results written to %s\n" !paql_json_out;
   print_endline
     "shape check: sketch-refine wall clock is dominated by the node budget\n\
-     and the O(n log n) partitioning pass, so it lands a valid package with\n\
+     and the O(n log k) partitioning pass, so it lands a valid package with\n\
      a sound bound at every size; the whole-relation ILP's per-iteration\n\
      cost grows with n and it leaves the budget window without a proof."
 

@@ -477,4 +477,25 @@ if ! grep -q '"name":"prepared_repeat_x100"' _build/ci/bench_sql.json; then
   exit 1
 fi
 
+# The SketchRefine scaling suite must keep landing valid packages. This
+# is a smoke test at --quick sizes (5k and 20k rows), not a timing gate:
+# it checks only that the suite exits 0 and that every sketch_refine
+# record in its JSON file has "valid_package":true.
+echo "== paql-scale bench smoke (bench/main.exe --paql-scale --quick) =="
+if ! ./_build/default/bench/main.exe --paql-scale --quick \
+  --paql-json _build/ci/bench_paql.json >_build/ci/bench_paql.txt 2>&1; then
+  echo "CI FAIL: bench/main.exe --paql-scale --quick failed; output follows"
+  cat _build/ci/bench_paql.txt
+  exit 1
+fi
+SR_RECORDS=$(grep -c '"name":"sketch_refine"' _build/ci/bench_paql.json || true)
+SR_VALID=$(grep '"name":"sketch_refine"' _build/ci/bench_paql.json | \
+  grep -c '"valid_package":true' || true)
+if [ "$SR_RECORDS" -lt 1 ] || [ "$SR_VALID" -ne "$SR_RECORDS" ]; then
+  echo "CI FAIL: $SR_VALID of $SR_RECORDS sketch_refine records in"
+  echo "         bench_paql.json have a valid package:"
+  cat _build/ci/bench_paql.json
+  exit 1
+fi
+
 echo "CI OK"

@@ -11,14 +11,27 @@
     query) yield a single partition and the group count never exceeds
     the number of distinct feature vectors.
 
+    Each split is an in-place index quickselect over one shared
+    permutation: the group's lower half is its [m / 2] members that come
+    first in the order (value by [Float.compare], NaN lowest, then
+    candidate index). No group is sorted until the end, so a build costs
+    O(n log k) for [k] groups; a quickselect that degenerates sorts its
+    range after 2·log2(m) rounds instead.
+
+    NaN feature values are skipped when measuring a group's spread, so a
+    NaN anywhere (first candidate included) never blocks a dimension from
+    being split; when a NaN-bearing dimension is split, its NaN members
+    go to the lower half.
+
     Guarantees, relied on by the sketch models and locked down by
     [test/test_partition.ml]:
 
     - groups are disjoint, nonempty, and cover [0, n) exactly;
     - each group's index array is ascending, and groups are ordered by
       their smallest member, so the output is canonical;
-    - centroids are per-feature means, hence always inside the group's
-      per-feature [min, max] envelope;
+    - centroids are per-feature means summed in ascending index order,
+      hence always inside the group's per-feature [min, max] envelope
+      (for NaN-free features);
     - the construction is purely sequential and deterministic: no
       randomness, no domain pool, so the same inputs give bit-identical
       partitions at any [PB_DOMAINS]. *)
@@ -37,6 +50,3 @@ val build : target:int -> features:float array array -> n:int -> t
 
 val group_count : t -> int
 
-val group_of : t -> int -> int
-(** [group_of t i] = the partition holding candidate [i].
-    O(groups); intended for tests and materialization setup. *)

@@ -87,18 +87,7 @@ let test_invariants_random () =
       let t = Partition.build ~target ~features ~n in
       let name = Printf.sprintf "n=%d d=%d target=%d" n d target in
       check_invariants name t ~n ~target;
-      check_centroids name t ~features;
-      (* group_of must agree with the groups arrays *)
-      Array.iteri
-        (fun gi g ->
-          Array.iter
-            (fun idx ->
-              Alcotest.(check int)
-                (name ^ ": group_of agrees")
-                gi
-                (Partition.group_of t idx))
-            g)
-        t.Partition.groups)
+      check_centroids name t ~features)
     [ (500, 2, 23, 1); (64, 1, 8, 2); (100, 3, 100, 3); (17, 2, 5, 4) ]
 
 let test_degenerate () =
@@ -134,6 +123,163 @@ let test_build_deterministic () =
   let t1 = Partition.build ~target:17 ~features ~n:300 in
   let t2 = Partition.build ~target:17 ~features ~n:300 in
   Alcotest.(check bool) "two builds are structurally equal" true (t1 = t2)
+
+(* A NaN in the lowest-index candidate used to seed the spread of its
+   dimension, making the spread NaN and the dimension unsplittable: the
+   whole input stayed one group. NaN is skipped when measuring spread. *)
+let test_nan_first () =
+  let f = [| nan; 1.; 2.; 3.; 4.; 5.; 6.; 7. |] in
+  let t = Partition.build ~target:4 ~features:[| f |] ~n:8 in
+  check_invariants "NaN at index 0" t ~n:8 ~target:4;
+  Alcotest.(check bool) "NaN at index 0: split into >= 2 groups" true
+    (Partition.group_count t >= 2);
+  List.iter
+    (fun (n, d, target, seed) ->
+      let st = Random.State.make [| seed |] in
+      let features =
+        Array.init d (fun _ ->
+            Array.init n (fun i ->
+                if i = 0 || Random.State.int st 4 = 0 then nan
+                else float_of_int (Random.State.int st 50)))
+      in
+      let name = Printf.sprintf "NaN-laden n=%d d=%d target=%d" n d target in
+      let t1 = Partition.build ~target ~features ~n in
+      check_invariants name t1 ~n ~target;
+      Alcotest.(check bool) (name ^ ": more than one group") true
+        (Partition.group_count t1 > 1);
+      (* [compare], not [=]: a NaN centroid must equal itself *)
+      Alcotest.(check bool) (name ^ ": deterministic") true
+        (compare t1 (Partition.build ~target ~features ~n) = 0))
+    [ (200, 1, 16, 5); (300, 2, 23, 6); (64, 3, 64, 7) ]
+
+(* ---- differential oracle: the sort-based splitter ------------------- *)
+
+(* The partitioner as first written: every split copies the group, sorts
+   it by (value, index) with polymorphic compare, and re-sorts both
+   halves ascending. Slow (boxed sorts of every level) but obviously
+   right; [Partition.build] must reproduce its groups and centroids
+   exactly on NaN-free inputs. *)
+let oracle_build ~target ~(features : float array array) ~n =
+  if n = 0 then ([||], [||])
+  else begin
+    let target = max 1 (min target n) in
+    let widest_dim idx =
+      let best = ref (-1) and best_spread = ref 0.0 in
+      Array.iteri
+        (fun dim f ->
+          let lo = ref f.(idx.(0)) and hi = ref f.(idx.(0)) in
+          Array.iter
+            (fun i ->
+              if f.(i) < !lo then lo := f.(i);
+              if f.(i) > !hi then hi := f.(i))
+            idx;
+          if !hi -. !lo > !best_spread then begin
+            best := dim;
+            best_spread := !hi -. !lo
+          end)
+        features;
+      if !best < 0 then None else Some !best
+    in
+    let splittable = ref [ Array.init n Fun.id ] and final = ref [] in
+    let bigger g b =
+      Array.length g > Array.length b
+      || (Array.length g = Array.length b && g.(0) < b.(0))
+    in
+    while List.length !splittable + List.length !final < target
+          && !splittable <> [] do
+      let g =
+        List.fold_left
+          (fun b g -> if bigger g b then g else b)
+          (List.hd !splittable) !splittable
+      in
+      splittable := List.filter (fun h -> h != g) !splittable;
+      match widest_dim g with
+      | None -> final := g :: !final
+      | Some dim ->
+          let f = features.(dim) in
+          let by_value = Array.copy g in
+          Array.sort (fun i j -> compare (f.(i), i) (f.(j), j)) by_value;
+          let m = Array.length by_value in
+          let left = Array.sub by_value 0 (m / 2)
+          and right = Array.sub by_value (m / 2) (m - (m / 2)) in
+          Array.sort compare left;
+          Array.sort compare right;
+          splittable := left :: right :: !splittable
+    done;
+    let groups = Array.of_list (!splittable @ !final) in
+    Array.sort (fun a b -> compare a.(0) b.(0)) groups;
+    let centroids =
+      Array.map
+        (fun g ->
+          Array.map
+            (fun f ->
+              Array.fold_left (fun acc i -> acc +. f.(i)) 0.0 g
+              /. float_of_int (Array.length g))
+            features)
+        groups
+    in
+    (groups, centroids)
+  end
+
+let matches_oracle ~target ~features ~n =
+  let t = Partition.build ~target ~features ~n in
+  compare (t.Partition.groups, t.Partition.centroids)
+    (oracle_build ~target ~features ~n)
+  = 0
+
+(* Features from a seed: [kind] 0-2 draws integers from 1-3 distinct
+   values (heavy ties), 3 draws wide reals, 4 draws from signed zeros
+   and infinities. *)
+let oracle_features ~seed ~n ~d ~kind =
+  let st = Random.State.make [| seed |] in
+  let specials = [| neg_infinity; -0.0; 0.0; 1.0; infinity |] in
+  Array.init d (fun _ ->
+      Array.init n (fun _ ->
+          match kind with
+          | 0 | 1 | 2 -> float_of_int (Random.State.int st (kind + 1))
+          | 3 -> Random.State.float st 2e6 -. 1e6
+          | _ -> specials.(Random.State.int st (Array.length specials))))
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, int_range 0 40); (3, int_range 0 2000) ] in
+  let* d = int_range 0 3 in
+  let* kind = int_range 0 4 in
+  let* target =
+    oneof
+      [ return 0; return 1; return n; map (fun k -> n + k) (int_range 1 50);
+        int_range 0 (max 0 n) ]
+  in
+  let* seed = int_bound 1_000_000 in
+  return (n, d, kind, target, seed)
+
+let prop_oracle =
+  QCheck.Test.make ~count:300 ~name:"partition build == sort-based oracle"
+    (QCheck.make
+       ~print:(fun (n, d, kind, target, seed) ->
+         Printf.sprintf "n=%d d=%d kind=%d target=%d seed=%d" n d kind target
+           seed)
+       oracle_case_gen)
+    (fun (n, d, kind, target, seed) ->
+      matches_oracle ~target
+        ~features:(oracle_features ~seed ~n ~d ~kind)
+        ~n)
+
+(* Orderings that defeat naive pivot choices, at a size where a
+   quadratic quickselect would show. *)
+let test_oracle_hostile () =
+  let n = 50_000 in
+  List.iter
+    (fun (name, value) ->
+      let features = [| Array.init n value |] in
+      Alcotest.(check bool) (name ^ " matches the oracle") true
+        (matches_oracle ~target:64 ~features ~n))
+    [
+      ("ascending", float_of_int);
+      ("descending", fun i -> float_of_int (n - i));
+      ("organ-pipe", fun i -> float_of_int (min i (n - 1 - i)));
+      ("all-equal-but-one", fun i -> if i = n / 3 then 2.0 else 1.0);
+    ]
 
 (* ---- sketch-refine strategy: determinism across pool sizes ----------- *)
 
@@ -281,6 +427,11 @@ let suite =
     Alcotest.test_case "partition degenerate inputs" `Quick test_degenerate;
     Alcotest.test_case "partition build is deterministic" `Quick
       test_build_deterministic;
+    Alcotest.test_case "partition splits past a NaN at index 0" `Quick
+      test_nan_first;
+    QCheck_alcotest.to_alcotest prop_oracle;
+    Alcotest.test_case "partition matches oracle on hostile orderings" `Quick
+      test_oracle_hostile;
     Alcotest.test_case "sketch-refine identical at pool size 1 vs 8" `Quick
       test_pool_determinism;
     Alcotest.test_case "deadline mid-refine yields Feasible incumbent" `Slow
