@@ -105,10 +105,7 @@ let rec compile_formula ?batch ~pkg_schema ~rows ~n = function
   | Analyze.Or fs ->
       C_or (List.map (compile_formula ?batch ~pkg_schema ~rows ~n) fs)
 
-let make db (query : Ast.t) =
-  (match Analyze.validate_query query with
-  | Ok () -> ()
-  | Error msg -> failwith ("ill-formed PaQL query: " ^ msg));
+let build db (query : Ast.t) =
   let batch = Semantics.candidates_batch db query in
   let candidates =
     match batch with
@@ -116,6 +113,8 @@ let make db (query : Ast.t) =
     | None -> Semantics.candidates db query
   in
   let n = Relation.cardinality candidates in
+  Pb_obs.Trace.add_attr "candidates" (string_of_int n);
+  Pb_obs.Trace.add_attr "batch" (string_of_bool (batch <> None));
   let rows = Relation.rows candidates in
   let pkg_schema =
     Schema.qualify query.package_alias (Relation.schema candidates)
@@ -151,6 +150,12 @@ let make db (query : Ast.t) =
   in
   { db; query; candidates; batch; n; max_mult = Ast.max_multiplicity query;
     formula; objective }
+
+let make db query =
+  (match Analyze.validate_query query with
+  | Ok () -> ()
+  | Error msg -> failwith ("ill-formed PaQL query: " ^ msg));
+  Pb_obs.Trace.with_span ~name:"coeffs.make" (fun () -> build db query)
 
 let tuple_values t expr =
   let pkg_schema =

@@ -59,7 +59,9 @@ type t = {
 
 val make : Pb_sql.Database.t -> Pb_paql.Ast.t -> t
 (** Raises [Failure] on missing tables or ill-formed queries (see
-    {!Pb_paql.Analyze.validate_query}). *)
+    {!Pb_paql.Analyze.validate_query}). Runs inside a [coeffs.make] trace
+    span carrying the [candidates] count and whether the columnar
+    [batch] path produced them. *)
 
 val tuple_values : t -> Pb_sql.Ast.expr -> float array
 (** Per-candidate value of a package-level expression argument (e.g. the

@@ -2,7 +2,7 @@ type span = {
   id : int;
   parent : int;
   name : string;
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;
   mutable counters : (string * int) list;
   start : float;
   mutable elapsed : float;
@@ -186,6 +186,12 @@ let add_count key v =
     | Some { st_stack = sp :: _; _ } ->
         let prev = Option.value (List.assoc_opt key sp.counters) ~default:0 in
         sp.counters <- (key, prev + v) :: List.remove_assoc key sp.counters
+    | Some _ | None -> ()
+
+let add_attr key v =
+  if Atomic.get enabled || Atomic.get active_contexts > 0 then
+    match find_tstate () with
+    | Some { st_stack = sp :: _; _ } -> sp.attrs <- sp.attrs @ [ (key, v) ]
     | Some _ | None -> ()
 
 let with_context ~trace_id f =

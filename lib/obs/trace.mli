@@ -39,7 +39,8 @@ type span = {
   id : int;  (** monotonically increasing; orders spans by open time *)
   parent : int;  (** id of the enclosing span, or [-1] for a root *)
   name : string;
-  attrs : (string * string) list;  (** static context, set at open *)
+  mutable attrs : (string * string) list;
+      (** static context, set at open or via {!add_attr} *)
   mutable counters : (string * int) list;  (** work tallies, via {!add_count} *)
   start : float;  (** wall-clock open time (seconds since epoch) *)
   mutable elapsed : float;  (** seconds between open and close *)
@@ -66,6 +67,11 @@ val add_count : string -> int -> unit
 (** Accumulate [v] into a named counter on the innermost open span of
     the calling thread. No-op when tracing is inactive or no span is
     open. *)
+
+val add_attr : string -> string -> unit
+(** Append an attribute to the innermost open span of the calling thread,
+    for context known only once the span's work has run. No-op when
+    tracing is inactive or no span is open. *)
 
 val with_context : trace_id:string -> (unit -> 'a) -> 'a * span list
 (** Run the thunk under a request trace context: a root span named

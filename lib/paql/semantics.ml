@@ -1,17 +1,17 @@
 module Relation = Pb_relation.Relation
-module Schema = Pb_relation.Schema
 module Value = Pb_relation.Value
 module Executor = Pb_sql.Executor
 module Table = Pb_store.Table
 
-(* Candidates in columnar form: the input table's image plus the selected
-   distinct-row ids in original row order (candidate index i is row
-   [positions.(i)]), so PaQL coefficient extraction can run batch kernels
-   instead of per-tuple interpretation. *)
+(* Candidates in columnar form: the input table's image plus, per
+   candidate, its distinct-row id (what PaQL coefficient extraction feeds
+   batch kernels instead of interpreting tuples) and its original row
+   position in the stored relation the image was encoded from. *)
 type batch = {
   table : Table.t;
-  schema : Schema.t;  (* input-alias-qualified *)
-  positions : int array;  (* candidate index -> distinct row id *)
+  relation : Relation.t;  (* the stored relation, input-alias-qualified *)
+  ids : int array;  (* candidate index -> distinct row id *)
+  positions : int array;  (* candidate index -> original row position *)
 }
 
 let candidates_batch db (q : Ast.t) =
@@ -20,37 +20,38 @@ let candidates_batch db (q : Ast.t) =
     match Pb_sql.Database.find db q.input_relation with
     | None -> None (* let [candidates] raise its usual error *)
     | Some rel -> (
+        (* [Database.columnar] returns an image of exactly [rel]'s row
+           store, so image position [pos] is row [pos] of [rel]. *)
         let table = Pb_sql.Database.columnar db q.input_relation rel in
-        let schema = Schema.qualify q.input_alias (Relation.schema rel) in
-        let keep =
+        let relation = Relation.rename q.input_alias rel in
+        let hit =
           match q.where with
-          | None -> Some None
+          | None -> Some (fun _ -> true)
           | Some pred -> (
-              match Pb_sql.Columnar.bool_kernel schema table pred with
-              | Some k -> Some (Some (Pb_sql.Columnar.selection table k))
+              match
+                Pb_sql.Columnar.bool_kernel (Relation.schema relation) table
+                  pred
+              with
+              | Some k ->
+                  let sel = Pb_sql.Columnar.selection table k in
+                  Some (fun id -> Bytes.get sel id = '\001')
               | None -> None)
         in
-        match keep with
+        match hit with
         | None -> None
-        | Some sel ->
-            let hit id =
-              match sel with
-              | None -> true
-              | Some s -> Bytes.get s id = '\001'
+        | Some hit ->
+            let positions = Pb_sql.Columnar.positions_where table hit in
+            let ids =
+              match Table.order table with
+              | None -> positions
+              | Some ord -> Array.map (Array.get ord) positions
             in
-            let out = ref [] in
-            (match Table.order table with
-            | Some ord ->
-                Array.iter (fun id -> if hit id then out := id :: !out) ord
-            | None ->
-                for id = 0 to Table.distinct table - 1 do
-                  if hit id then out := id :: !out
-                done);
-            Some { table; schema; positions = Array.of_list (List.rev !out) })
+            Some { table; relation; ids; positions })
 
 let batch_candidates b =
-  let mat = Table.row_materializer b.table in
-  Relation.create b.schema (Array.to_list (Array.map mat b.positions))
+  if Array.length b.positions = Relation.cardinality b.relation then
+    b.relation
+  else Relation.pick b.relation b.positions
 
 let batch_values b ~schema expr =
   match Pb_sql.Batch.compile schema b.table expr with
@@ -84,7 +85,7 @@ let batch_values b ~schema expr =
             lo := !lo + len
           done;
           Table.tick_chunks !chunks;
-          Some (Array.map (fun id -> vals.(id)) b.positions))
+          Some (Array.map (fun id -> vals.(id)) b.ids))
 
 let candidates db (q : Ast.t) =
   match candidates_batch db q with

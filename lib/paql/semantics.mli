@@ -10,18 +10,22 @@
 val candidates : Pb_sql.Database.t -> Ast.t -> Pb_relation.Relation.t
 (** Input relation restricted to rows satisfying the base constraints,
     with the schema qualified by the input alias. Row order (hence
-    candidate indices) follows the stored relation. Raises [Failure] if
-    the input table does not exist. Under columnar storage the base
-    predicate runs as a batch kernel when it compiles; the result is
-    identical either way. *)
+    candidate indices) follows the stored relation, and the candidate
+    rows are the stored relation's own row arrays, shared rather than
+    copied. Raises [Failure] if the input table does not exist. Under
+    columnar storage the base predicate runs as a batch kernel when it
+    compiles; the result is identical either way. *)
 
 type batch = {
   table : Pb_store.Table.t;
-  schema : Pb_relation.Schema.t;  (** input-alias-qualified *)
-  positions : int array;  (** candidate index -> distinct row id *)
+  relation : Pb_relation.Relation.t;
+      (** the stored relation the image encodes, input-alias-qualified *)
+  ids : int array;  (** candidate index -> distinct row id of [table] *)
+  positions : int array;  (** candidate index -> row of [relation] *)
 }
-(** Columnar view of the candidate set: candidate [i] is distinct row
-    [positions.(i)] of [table] (duplicates repeat the id). *)
+(** Columnar view of the candidate set: candidate [i] is row
+    [positions.(i)] of [relation], whose values are distinct row
+    [ids.(i)] of [table] (duplicates repeat the id). *)
 
 val candidates_batch : Pb_sql.Database.t -> Ast.t -> batch option
 (** Columnar candidate generation; [None] when the storage mode is [Row],
@@ -29,7 +33,9 @@ val candidates_batch : Pb_sql.Database.t -> Ast.t -> batch option
     a batch kernel. *)
 
 val batch_candidates : batch -> Pb_relation.Relation.t
-(** Materialize the batch into exactly what {!candidates} returns. *)
+(** Exactly what {!candidates} returns, without rebuilding any row: the
+    stored rows at [positions] — [relation] itself, in O(1), when every
+    row is a candidate. *)
 
 val batch_values :
   batch -> schema:Pb_relation.Schema.t -> Pb_sql.Ast.expr -> float array option

@@ -30,6 +30,8 @@ let column_values t col =
 let filter pred t =
   { t with store = Array.of_list (List.filter pred (to_list t)) }
 
+let pick t idx = { t with store = Array.map (fun i -> t.store.(i)) idx }
+
 let map_rows schema f t =
   let store = Array.map f t.store in
   Array.iter (validate schema) store;

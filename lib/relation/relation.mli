@@ -26,6 +26,11 @@ val get : t -> int -> string -> Value.t
 val column_values : t -> string -> Value.t list
 
 val filter : (Value.t array -> bool) -> t -> t
+
+val pick : t -> int array -> t
+(** [pick r idx] is the rows of [r] at indices [idx], in that order. The
+    row arrays are shared with [r], not copied. *)
+
 val map_rows : Schema.t -> (Value.t array -> Value.t array) -> t -> t
 val project : t -> string list -> t
 (** Keep the named columns, in the given order. *)

@@ -68,6 +68,17 @@ let iter_positions tbl f =
         f id id
       done
 
+(* Original row positions, ascending, whose distinct row id satisfies
+   [keep]. *)
+let positions_where tbl keep =
+  let out = Array.make (Table.total tbl) 0 and n = ref 0 in
+  iter_positions tbl (fun pos id ->
+      if keep id then begin
+        out.(!n) <- pos;
+        incr n
+      end);
+  if !n = Array.length out then out else Array.sub out 0 !n
+
 let iter_selected tbl sel f =
   iter_positions tbl (fun pos id ->
       if Bytes.get sel id = '\001' then f pos id)
@@ -515,10 +526,11 @@ let scan ?gov db ~name rel conjs =
       let sel = Bytes.make (Table.distinct tbl) '\001' in
       List.iter (fun k -> restrict ?gov tbl sel (Option.get k)) kernels;
       Metrics.incr m_scans;
-      let mat = Table.row_materializer tbl in
-      let out = ref [] in
-      iter_selected tbl sel (fun _pos id -> out := mat id :: !out);
-      Some (Relation.create schema (List.rev !out))
+      (* The image encodes exactly [rel]'s row store (see
+         {!Database.columnar}), so the survivors are [rel]'s own rows. *)
+      Some
+        (Relation.pick rel
+           (positions_where tbl (fun id -> Bytes.get sel id = '\001')))
     end
 
 let delete_keep ?gov db ~name rel pred =
@@ -531,16 +543,8 @@ let delete_keep ?gov db ~name rel pred =
     | Some k ->
         let hit = selection ?gov tbl k in
         Metrics.incr m_scans;
-        let mat = Table.row_materializer tbl in
-        let out = ref [] and kept = ref 0 in
-        iter_positions tbl (fun _pos id ->
-            if Bytes.get hit id <> '\001' then begin
-              incr kept;
-              out := mat id :: !out
-            end);
-        Some
-          ( Relation.create schema (List.rev !out),
-            Table.total tbl - !kept )
+        let keep = positions_where tbl (fun id -> Bytes.get hit id <> '\001') in
+        Some (Relation.pick rel keep, Table.total tbl - Array.length keep)
 
 let update_mask ?gov db ~name rel pred =
   if not (Mode.columnar ()) then None

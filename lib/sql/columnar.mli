@@ -15,6 +15,13 @@ val selection :
     row, 1 where the predicate is true (exported for the PaQL layer's
     candidate generation). *)
 
+val positions_where : Pb_store.Table.t -> (int -> bool) -> int array
+(** Original row positions, ascending, whose distinct row id satisfies
+    the predicate. An image from {!Database.columnar} encodes exactly the
+    row store of the snapshot it was asked for, so position [pos] is row
+    [pos] of that snapshot (used by {!scan}, {!delete_keep} and the PaQL
+    layer's candidate generation to share the stored rows). *)
+
 val try_select :
   ?gov:Pb_util.Gov.t ->
   Database.t ->
@@ -35,10 +42,11 @@ val scan :
   Ast.expr list ->
   Pb_relation.Relation.t option
 (** Base-table scan for the planner: apply the pushed-down conjuncts as
-    one fused selection vector over the columnar image and materialize
-    the surviving rows in original order. [rel] is the (possibly renamed)
-    snapshot being scanned; [None] when any conjunct fails to compile,
-    the conjunct list is empty, or the table has declared indexes. *)
+    one fused selection vector over the columnar image and return the
+    surviving rows of [rel] itself (shared, not rebuilt) in original
+    order. [rel] is the (possibly renamed) snapshot being scanned; [None]
+    when any conjunct fails to compile, the conjunct list is empty, or
+    the table has declared indexes. *)
 
 val delete_keep :
   ?gov:Pb_util.Gov.t ->
@@ -47,8 +55,8 @@ val delete_keep :
   Pb_relation.Relation.t ->
   Ast.expr ->
   (Pb_relation.Relation.t * int) option
-(** DELETE predicate evaluation: the kept relation (original row order)
-    and the number of deleted rows. *)
+(** DELETE predicate evaluation: the kept relation (original row order,
+    sharing [rel]'s rows) and the number of deleted rows. *)
 
 val update_mask :
   ?gov:Pb_util.Gov.t ->

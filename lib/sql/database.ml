@@ -164,7 +164,15 @@ let columnar db name rel =
              qualified (renamed) schema; only the values matter, and a
              rename shares the row store, so the physical-equality check
              above still hits for any alias of the same snapshot. *)
-          let t = Pb_store.Table.of_relation rel in
+          let t =
+            Pb_obs.Trace.with_span ~name:"store.columnar_build"
+              ~attrs:
+                [
+                  ("table", name);
+                  ("rows", string_of_int (Relation.cardinality rel));
+                ]
+              (fun () -> Pb_store.Table.of_relation rel)
+          in
           Hashtbl.replace db.columnar_cache name (Relation.rows rel, t);
           Pb_store.Table.add_resident (Pb_store.Table.bytes t);
           t)

@@ -123,23 +123,10 @@ let of_relation rel =
 
 let get_row t id = Array.init (arity t) (fun j -> Column.get t.cols.(j) id)
 
-(* Shared lazy materialization of distinct rows: duplicates reuse one
-   array (relations never mutate rows in place, so sharing is safe). *)
-let row_materializer t =
-  let cache = Array.make t.nrows None in
-  fun id ->
-    match cache.(id) with
-    | Some row -> row
-    | None ->
-        let row = get_row t id in
-        cache.(id) <- Some row;
-        row
-
+(* Rebuilds the relation from the columns: the roundtrip oracle for
+   tests (query paths share the stored rows instead). *)
 let to_relation t =
-  let row = row_materializer t in
-  let store =
-    match t.order with
-    | None -> List.init t.nrows row
-    | Some order -> Array.to_list (Array.map row order)
+  let ids =
+    match t.order with None -> Array.init t.nrows Fun.id | Some order -> order
   in
-  Relation.create t.schema store
+  Relation.create t.schema (Array.to_list (Array.map (get_row t) ids))

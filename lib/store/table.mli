@@ -2,7 +2,10 @@
     multiplicity column. Reconstruction ({!to_relation}, {!get_row}) is
     exact — values, Int/Float tags, and original row order all survive the
     round trip, which is what lets the columnar engine stay bit-identical
-    to the row interpreter. *)
+    to the row interpreter. Query paths never rebuild rows, though: they
+    map a selection back to original row positions ({!order}) and return
+    the stored relation's own rows, so {!to_relation} serves as the
+    roundtrip oracle for tests. *)
 
 type t
 
@@ -32,9 +35,6 @@ val arity : t -> int
 
 val get_row : t -> int -> Pb_relation.Value.t array
 (** Materialize distinct row [id]. *)
-
-val row_materializer : t -> int -> Pb_relation.Value.t array
-(** Like {!get_row} but memoized: duplicates share one array. *)
 
 val bytes : t -> int
 (** Resident-size estimate, fixed at build time. *)

@@ -276,32 +276,97 @@ let test_persist_mode_independent () =
       Sys.rmdir dir)
     [ dir_row; dir_col ]
 
+(* A duplicate-heavy recipes table: every row stored three times, each
+   copy its own array, interleaved so the image is compressed and its
+   position -> id map is not the identity. *)
+let dup_recipes () =
+  let recipes = Pb_workload.Workload.recipes ~seed:7 ~n:24 () in
+  let base = Relation.rows recipes in
+  let n = Array.length base in
+  Relation.create (Relation.schema recipes)
+    (List.init (3 * n) (fun p -> Array.copy base.(p mod n)))
+
+(* [a] and [b] hold the very same row arrays, in order. *)
+let same_rows a b =
+  Array.length a = Array.length b && Array.for_all2 ( == ) a b
+
 (* PaQL coefficient extraction: candidate relation, linearized formula
    and objective vectors must be bit-identical whichever engine filtered
-   the base table. *)
+   the base table, and the columnar candidates must be the stored rows
+   themselves (the row path shares them through Relation.rename/filter),
+   never rows rebuilt from the image. *)
 let test_coeffs_parity () =
-  let meal_query =
-    "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' SUCH THAT \
-     COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE \
-     SUM(P.protein)"
+  let query where =
+    "SELECT PACKAGE(R) AS P FROM recipes R " ^ where
+    ^ " SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
+       MAXIMIZE SUM(P.protein)"
   in
-  let coeffs mode =
-    with_mode mode (fun () ->
-        let db = Database.create () in
-        Database.put db "recipes"
-          (Pb_workload.Workload.recipes ~seed:7 ~n:24 ());
-        Coeffs.make db (Pb_paql.Parser.parse meal_query))
-  in
-  let row = coeffs Mode.Row and col = coeffs Mode.Columnar in
-  Alcotest.(check string) "candidates identical"
-    (rel_repr row.Coeffs.candidates)
-    (rel_repr col.Coeffs.candidates);
-  Alcotest.(check int) "n" row.Coeffs.n col.Coeffs.n;
-  Alcotest.(check int) "max_mult" row.Coeffs.max_mult col.Coeffs.max_mult;
-  Alcotest.(check bool) "formula identical" true
-    (row.Coeffs.formula = col.Coeffs.formula);
-  Alcotest.(check bool) "objective identical" true
-    (row.Coeffs.objective = col.Coeffs.objective)
+  let db = Database.create () in
+  Database.put db "recipes" (dup_recipes ());
+  let stored = Relation.rows (Database.find_exn db "recipes") in
+  let total = Array.length stored in
+  Alcotest.(check bool) "image compressed" true
+    (Table.compressed
+       (Database.columnar db "recipes" (Database.find_exn db "recipes")));
+  List.iter
+    (fun (label, where, n_ok) ->
+      let q = Pb_paql.Parser.parse (query where) in
+      let coeffs mode = with_mode mode (fun () -> Coeffs.make db q) in
+      let row = coeffs Mode.Row and col = coeffs Mode.Columnar in
+      let check_bool what = Alcotest.(check bool) (label ^ ": " ^ what) in
+      Alcotest.(check string) (label ^ ": candidates identical")
+        (rel_repr row.Coeffs.candidates)
+        (rel_repr col.Coeffs.candidates);
+      Alcotest.(check int) (label ^ ": n") row.Coeffs.n col.Coeffs.n;
+      check_bool "candidate count" true (n_ok col.Coeffs.n);
+      Alcotest.(check int) (label ^ ": max_mult") row.Coeffs.max_mult
+        col.Coeffs.max_mult;
+      check_bool "formula identical" true
+        (row.Coeffs.formula = col.Coeffs.formula);
+      check_bool "objective identical" true
+        (row.Coeffs.objective = col.Coeffs.objective);
+      let col_rows = Relation.rows col.Coeffs.candidates in
+      check_bool "columnar candidates are the stored rows" true
+        (same_rows (Relation.rows row.Coeffs.candidates) col_rows);
+      (match col.Coeffs.batch with
+      | None -> Alcotest.fail (label ^ ": columnar path not taken")
+      | Some b ->
+          let at_positions =
+            Array.map (fun pos -> stored.(pos)) b.Pb_paql.Semantics.positions
+          in
+          check_bool "candidate i is stored row positions.(i)" true
+            (same_rows col_rows at_positions));
+      check_bool "whole table shares the row store" (col.Coeffs.n = total)
+        (col_rows == stored))
+    [
+      ("no WHERE", "", fun n -> n = total);
+      ("selective WHERE", "WHERE R.gluten = 'free'", fun n -> n > 0 && n < total);
+      ("empty WHERE", "WHERE R.calories < 0", fun n -> n = 0);
+    ]
+
+(* Columnar SQL paths return the stored rows too: a scan's survivors and
+   the rows a DELETE keeps are the stored arrays at their positions. *)
+let test_columnar_rows_shared () =
+  with_mode Mode.Columnar (fun () ->
+      let db = Database.create () in
+      Database.put db "recipes" (dup_recipes ());
+      let rel = Database.find_exn db "recipes" in
+      let gi = Schema.index_of_exn (Relation.schema rel) "gluten" in
+      let free r = r.(gi) = Value.Str "free" in
+      let pred = Pb_sql.Parser.parse_expr "gluten = 'free'" in
+      (match Pb_sql.Columnar.scan db ~name:"recipes" rel [ pred ] with
+      | None -> Alcotest.fail "columnar scan not taken"
+      | Some out ->
+          Alcotest.(check bool) "scan survivors are the stored rows" true
+            (same_rows
+               (Relation.rows (Relation.filter free rel))
+               (Relation.rows out)));
+      ignore
+        (Executor.execute_sql db "DELETE FROM recipes WHERE gluten = 'free'");
+      Alcotest.(check bool) "DELETE keeps the stored rows" true
+        (same_rows
+           (Relation.rows (Relation.filter (fun r -> not (free r)) rel))
+           (Relation.rows (Database.find_exn db "recipes"))))
 
 let suite =
   [
@@ -312,6 +377,8 @@ let suite =
       test_persist_mode_independent;
     Alcotest.test_case "coeffs parity row vs columnar" `Quick
       test_coeffs_parity;
+    Alcotest.test_case "columnar scan and delete share stored rows" `Quick
+      test_columnar_rows_shared;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_roundtrip; prop_differential ]

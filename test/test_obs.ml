@@ -312,14 +312,19 @@ let test_explain_analyze () =
       in
       let out = reaction.Pb_shell.Repl.output in
       let lines = String.split_on_char '\n' out in
-      (* the span tree leads with the evaluation root, unindented *)
-      (match lines with
-      | first :: _ ->
-          Alcotest.(check bool)
-            "root span first" true
-            (String.length first >= 10
-            && String.sub first 0 10 = "engine.run")
-      | [] -> Alcotest.fail "empty output");
+      (* the span tree leads with the candidate phase, then the
+         evaluation root, both unindented *)
+      let starts prefix line =
+        String.length line >= String.length prefix
+        && String.sub line 0 (String.length prefix) = prefix
+      in
+      (match List.filter (fun l -> l <> "" && l.[0] <> ' ') lines with
+      | first :: second :: _ ->
+          Alcotest.(check bool) "coeffs root first" true
+            (starts "coeffs.make" first);
+          Alcotest.(check bool) "engine root second" true
+            (starts "engine.run" second)
+      | _ -> Alcotest.fail "fewer than two root spans");
       List.iter
         (fun needle ->
           Alcotest.(check bool) ("output has " ^ needle) true (contains needle out))

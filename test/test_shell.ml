@@ -304,6 +304,48 @@ let test_repl_explain_and_complete () =
   Alcotest.(check bool) "package suggested" true
     (contains c.Repl.output "PACKAGE(")
 
+(* \explain analyze attributes the candidate phase: a coeffs.make span
+   with the candidate count and which path built it, and, on the first
+   columnar touch of a table, the image build under it. *)
+let test_repl_explain_analyze_spans () =
+  let analyze mode =
+    let saved = Pb_store.Mode.current () in
+    Pb_store.Mode.set mode;
+    Fun.protect
+      ~finally:(fun () -> Pb_store.Mode.set saved)
+      (fun () ->
+        let st = shell () in
+        let first = Repl.handle st ("\\explain analyze " ^ paql_line) in
+        let again = Repl.handle st ("\\explain analyze " ^ paql_line) in
+        (first.Repl.output, again.Repl.output))
+  in
+  (* Scratch tables of the local-search leg get images of their own, so
+     look for a build of the stored table specifically. *)
+  let builds_recipes out =
+    List.exists
+      (fun l -> contains l "store.columnar_build" && contains l "table=recipes")
+      (String.split_on_char '\n' out)
+  in
+  let col, col_again = analyze Pb_store.Mode.Columnar in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("columnar output has " ^ needle) true
+        (contains col needle))
+    [ "coeffs.make"; "candidates="; "batch=true"; "rows=40" ];
+  Alcotest.(check bool) "first touch builds the image" true
+    (builds_recipes col);
+  Alcotest.(check bool) "cached image is not rebuilt" false
+    (builds_recipes col_again);
+  Alcotest.(check bool) "second run still spans coeffs" true
+    (contains col_again "coeffs.make");
+  let row, _ = analyze Pb_store.Mode.Row in
+  Alcotest.(check bool) "row output has coeffs.make" true
+    (contains row "coeffs.make");
+  Alcotest.(check bool) "row path is not batch" true
+    (contains row "batch=false");
+  Alcotest.(check bool) "row path builds no image" false
+    (builds_recipes row)
+
 let test_repl_next () =
   let st = shell () in
   let r = Repl.handle st ("\\next 3 " ^ paql_line) in
@@ -390,6 +432,8 @@ let suite =
     Alcotest.test_case "repl sticky strategy" `Quick test_repl_strategy;
     Alcotest.test_case "repl explain + complete" `Quick
       test_repl_explain_and_complete;
+    Alcotest.test_case "repl explain analyze spans coeffs" `Quick
+      test_repl_explain_analyze_spans;
     Alcotest.test_case "repl next" `Quick test_repl_next;
     Alcotest.test_case "repl unknown command" `Quick test_repl_unknown_command;
     Alcotest.test_case "repl paql parse error" `Quick test_repl_paql_parse_error;
