@@ -314,7 +314,9 @@ fi
 # \strategy sketch-refine — a package plus objective and a
 # sketch-refine footer, never a "(cancelled)" one: even when the
 # deadline fires mid-refine, the anytime contract serves the current
-# incumbent with status ok.
+# incumbent with status ok. The query goes out twice: the second run
+# must reuse the first run's partitioning (reuse counter >= 1 in
+# \metrics) and print the same objective.
 echo "== sketch-refine smoke (100k rows through pb_server, 10s deadline) =="
 SR_LOG=_build/ci/sr_server.log
 ./_build/default/bin/pb_server.exe --port 0 --size 100000 --seed 7 \
@@ -333,7 +335,9 @@ if [ -z "$SR_PORT" ]; then
   kill "$SR_PID" 2>/dev/null || true
   exit 1
 fi
-printf '\\strategy sketch-refine\nSELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) BETWEEN 3 AND 5 AND SUM(P.calories) <= 3000 MAXIMIZE SUM(P.protein)\n\\quit\n' | \
+SR_QUERY='SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) BETWEEN 3 AND 5 AND SUM(P.calories) <= 3000 MAXIMIZE SUM(P.protein)'
+printf '\\strategy sketch-refine\n%s\n%s\n\\metrics\n\\quit\n' \
+  "$SR_QUERY" "$SR_QUERY" | \
   ./_build/default/bin/pb_client.exe --port "$SR_PORT" \
   >_build/ci/sr_smoke_out.txt 2>&1
 if ! grep -q "strategy set to sketch-refine" _build/ci/sr_smoke_out.txt; then
@@ -353,6 +357,25 @@ if grep -q "(cancelled)" _build/ci/sr_smoke_out.txt; then
   echo "CI FAIL: sketch-refine run reported (cancelled) instead of serving"
   echo "         its anytime incumbent:"
   tail -n 20 _build/ci/sr_smoke_out.txt
+  kill "$SR_PID" 2>/dev/null || true
+  exit 1
+fi
+SR_OBJECTIVES=$(grep "^objective:" _build/ci/sr_smoke_out.txt | sort -u | wc -l)
+if [ "$(grep -c "^objective:" _build/ci/sr_smoke_out.txt)" -ne 2 ] || \
+   [ "$SR_OBJECTIVES" -ne 1 ]; then
+  echo "CI FAIL: the repeated sketch-refine query must print the same"
+  echo "         objective twice; got:"
+  grep "^objective:" _build/ci/sr_smoke_out.txt
+  kill "$SR_PID" 2>/dev/null || true
+  exit 1
+fi
+SR_REUSES=$(sed -n \
+  's/^pb_engine_sketch_partition_reuses_total \([0-9][0-9]*\).*/\1/p' \
+  _build/ci/sr_smoke_out.txt | head -n 1)
+if [ -z "$SR_REUSES" ] || [ "$SR_REUSES" -lt 1 ]; then
+  echo "CI FAIL: expected pb_engine_sketch_partition_reuses_total >= 1 after"
+  echo "         a repeated sketch-refine query; \\metrics reported:"
+  echo "         ${SR_REUSES:-no counter}"
   kill "$SR_PID" 2>/dev/null || true
   exit 1
 fi

@@ -45,7 +45,7 @@ let m_pruning_cutoffs =
     "pb_engine_pruning_cutoffs_total"
 
 let m_sr_partitions =
-  Metrics.counter ~help:"Sketch-refine partitions built"
+  Metrics.counter ~help:"Sketch-refine partition groups used (built or reused)"
     "pb_engine_sketch_partitions_total"
 
 let m_sr_refine_steps =

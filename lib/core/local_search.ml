@@ -295,16 +295,16 @@ let sql_replacements ?gov _db (c : Coeffs.t) pkg ~k =
      they live in a private scratch database: the shared catalog is never
      mutated, which lets the engine's hybrid strategy run this search on
      one domain while an exact leg reads the shared database on another. *)
-  let scratch = Pb_sql.Database.create () in
-  install_temp_tables scratch c indexed pkg;
   let sql =
     build_neighborhood_sql indexed sums ~card ~k ~max_mult:c.max_mult
       indexed.body
   in
   let result =
-    match Pb_sql.Executor.execute_sql ?gov scratch sql with
-    | Pb_sql.Executor.Rows rel -> rel
-    | _ -> assert false
+    Pb_sql.Database.with_scratch (fun scratch ->
+        install_temp_tables scratch c indexed pkg;
+        match Pb_sql.Executor.execute_sql ?gov scratch sql with
+        | Pb_sql.Executor.Rows rel -> rel
+        | _ -> assert false)
   in
   let positions = Array.of_list (Package.indices pkg) in
   let moves =

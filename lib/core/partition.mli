@@ -1,4 +1,8 @@
 (** Offline candidate partitioner for the SketchRefine strategy.
+    {!Sketch_refine} builds one partitioning per table snapshot and
+    reuses it for later unfiltered queries over the same features and
+    target until a write to the table invalidates it; this module itself
+    is pure and caches nothing.
 
     Recursive median splitting over the constraint-attribute feature
     space (a kd-tree-style quantile grid, the "offline partitioning" of

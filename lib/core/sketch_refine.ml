@@ -7,6 +7,9 @@ module Gov = Pb_util.Gov
 module Pool = Pb_par.Pool
 module Progress = Pb_obs.Progress
 module Trace = Pb_obs.Trace
+module Metrics = Pb_obs.Metrics
+module Database = Pb_sql.Database
+module Relation = Pb_relation.Relation
 
 type params = {
   partitions : int option;
@@ -84,6 +87,82 @@ let partition_within ~target ~features ~n (pre : int array array) =
       groups
   in
   { Partition.groups; centroids }
+
+(* ---- Partition reuse ------------------------------------------------ *)
+
+(* The offline step done once per table snapshot: an unconstrained
+   partitioning of a whole stored relation lives in that table's derived
+   slot (dropped on every write to the table), keyed by the package
+   alias, the normalised feature expressions and the target group count.
+   The features ride along because refinement's materialisation order
+   reads them. A hit hands back the very arrays a build would produce,
+   bit for bit: same rows, same expressions, same deterministic build. *)
+type Database.derived +=
+  | Partitioning of {
+      key : string list;
+      target : int;
+      part : Partition.t;
+      features : float array array;
+    }
+
+let m_partition_reuses =
+  Metrics.counter
+    ~help:"Sketch-refine partitionings reused from the table's cache"
+    "pb_engine_sketch_partition_reuses_total"
+
+(* Resident size of the cached arrays: one header word per array plus
+   one word per element (ints and unboxed floats alike). *)
+let partitioning_bytes (part : Partition.t) features =
+  let words arrays =
+    Array.fold_left (fun acc a -> acc + 1 + Array.length a) 1 arrays
+  in
+  (words part.groups + words part.centroids + words features)
+  * (Sys.word_size / 8)
+
+(* [Some stored] when the candidates are the whole stored input
+   relation: physically its row store, which an unfiltered query's
+   candidates share in either storage mode. *)
+let whole_table (c : Coeffs.t) =
+  match Database.find c.db c.query.input_relation with
+  | Some stored when Relation.rows stored == Relation.rows c.candidates ->
+      Some stored
+  | _ -> None
+
+(* The partitioning and its features, and whether they came from the
+   cache. Caller-imposed groupings and filtered candidate sets are built
+   fresh and never touch the slot. The build runs outside the catalog
+   lock; two racing misses both build the same partitioning and the
+   later install wins. *)
+let partitioning ~params ~target (c : Coeffs.t) =
+  let exprs = Analyze.aggregate_arguments c.query in
+  let build () =
+    let n = c.n in
+    let features =
+      List.map (fun e -> Coeffs.tuple_values c e) exprs |> Array.of_list
+    in
+    match params.prepartition with
+    | None -> (Partition.build ~target ~features ~n, features)
+    | Some pre -> (partition_within ~target ~features ~n pre, features)
+  in
+  match (params.prepartition, whole_table c) with
+  | None, Some stored -> (
+      let name = c.query.input_relation in
+      let key =
+        c.query.package_alias :: List.map Pb_sql.Ast.expr_to_string exprs
+      in
+      match Database.derived c.db name stored with
+      | Some (Partitioning p) when p.key = key && p.target = target ->
+          Metrics.incr m_partition_reuses;
+          (p.part, p.features, true)
+      | _ ->
+          let part, features = build () in
+          Database.set_derived c.db name stored
+            (Partitioning { key; target; part; features })
+            ~bytes:(partitioning_bytes part features);
+          (part, features, false))
+  | _ ->
+      let part, features = build () in
+      (part, features, false)
 
 type outcome = {
   best : Package.t option;
@@ -239,21 +318,13 @@ let search ~params ~pool ~gov (c : Coeffs.t) : outcome =
       (* -- Partition ------------------------------------------------ *)
       let (part, features), partition_seconds =
         Trace.timed ~name:"sketch-refine.partition" (fun () ->
-            let features =
-              Analyze.aggregate_arguments c.query
-              |> List.map (fun e -> Coeffs.tuple_values c e)
-              |> Array.of_list
-            in
             let target =
               match params.partitions with
               | Some k -> k
               | None -> int_of_float (Float.round (sqrt (float_of_int n)))
             in
-            let part =
-              match params.prepartition with
-              | None -> Partition.build ~target ~features ~n
-              | Some pre -> partition_within ~target ~features ~n pre
-            in
+            let part, features, cached = partitioning ~params ~target c in
+            Trace.add_attr "cached" (string_of_bool cached);
             (part, features))
       in
       let groups = part.groups in

@@ -11,6 +11,18 @@
       clusters; each cluster is summarised by one representative whose
       constraint coefficients are the cluster means, available in
       multiplicity up to [|cluster| · max_mult].
+      The step runs once per table snapshot: when the candidates are the
+      whole stored input relation (physically its row store, as for
+      every unfiltered query) and there is no [prepartition], the
+      partitioning and its feature vectors are cached in the table's
+      {!Pb_sql.Database.derived} slot, keyed by the package alias, the
+      normalised feature expressions and the target group count. A later
+      query with the same key reuses them bit for bit (span attribute
+      [cached=true], counter [pb_engine_sketch_partition_reuses_total]);
+      any write to the table (INSERT, UPDATE, DELETE, DROP, CSV load)
+      drops the slot, and a query with another key replaces it. Filtered
+      candidate sets and prepartitioned runs always build fresh and never
+      read or write the slot.
     + {b Sketch}: two small representative-level MILPs. The {e mean}
       sketch seeds refinement with a per-partition multiplicity vector.
       The {e bound} sketch replaces each partition's coefficient by its
@@ -76,6 +88,7 @@ type outcome = {
   applicable : bool;
   reason : string;  (** why not applicable; [""] when applicable *)
   partitions_built : int;
+      (** group count of the partitioning used, built or reused *)
   refine_steps : int;  (** refine-leg MILPs solved *)
   refined_partitions : int;  (** partitions committed to real tuples *)
   stuck_partitions : int;

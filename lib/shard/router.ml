@@ -207,11 +207,10 @@ let dedup names =
 
 (* ---- SQL over shards --------------------------------------------------- *)
 
-(* Scratch database for the fallback path: pulled copies of every
+(* Fill a scratch database for the fallback path: pulled copies of every
    referenced sharded table plus references to the local tables (cheap:
    relations are immutable). *)
-let scratch_with_tables t ~gov names =
-  let db = Database.create () in
+let fill_scratch t ~gov db names =
   List.iter
     (fun n ->
       if is_sharded t n then Database.put db n (pull_table t ~gov n)
@@ -219,8 +218,7 @@ let scratch_with_tables t ~gov names =
         match Database.find t.local n with
         | Some rel -> Database.put db n rel
         | None -> () (* the executor reports the missing table *))
-    names;
-  db
+    names
 
 let run_select t ~gov q =
   let refs = dedup (tables_of_select [] q) in
@@ -240,17 +238,18 @@ let run_select t ~gov q =
           List.init (shard_count t) (fun i ->
               shard_exec_rows t ~gov i partial_sql)
         in
-        let scratch = Database.create () in
-        (match partials with
-        | [] -> failwith "router has no shards"
-        | first :: _ ->
-            Database.put scratch plan.Merge.scratch
-              (Relation.create (Relation.schema first)
-                 (List.concat_map Relation.to_list partials)));
-        Executor.execute ~gov scratch (Ast.Select_stmt plan.Merge.final)
+        Database.with_scratch (fun scratch ->
+            (match partials with
+            | [] -> failwith "router has no shards"
+            | first :: _ ->
+                Database.put scratch plan.Merge.scratch
+                  (Relation.create (Relation.schema first)
+                     (List.concat_map Relation.to_list partials)));
+            Executor.execute ~gov scratch (Ast.Select_stmt plan.Merge.final))
     | None ->
-        let db = scratch_with_tables t ~gov refs in
-        Executor.execute ~gov db (Ast.Select_stmt q)
+        Database.with_scratch (fun db ->
+            fill_scratch t ~gov db refs;
+            Executor.execute ~gov db (Ast.Select_stmt q))
 
 (* Schema of a sharded table, from shard 0 without moving rows. *)
 let sharded_schema t ~gov name =
@@ -447,34 +446,34 @@ let run_paql t ~gov text =
         | result -> render_paql_result result
       else
         match
-          let scratch = Database.create () in
-          Database.put scratch input (pull_table t ~gov input);
-          let coeffs = Pb_core.Coeffs.make scratch query in
-          let shards = shard_count t in
-          let buckets = Array.make shards [] in
-          let rows = Relation.rows coeffs.Pb_core.Coeffs.candidates in
-          Array.iteri
-            (fun i row ->
-              let s = Hash.shard_of_row ~shards row in
-              buckets.(s) <- i :: buckets.(s))
-            rows;
-          let groups =
-            Array.to_list buckets
-            |> List.filter_map (fun b ->
-                   match List.rev b with
-                   | [] -> None
-                   | l -> Some (Array.of_list l))
-            |> Array.of_list
-          in
-          let params =
-            {
-              Pb_core.Sketch_refine.default_params with
-              prepartition = (if Array.length groups = 0 then None else Some groups);
-            }
-          in
-          Pb_core.Engine.run ~gov
-            ~strategy:(Pb_core.Engine.Sketch_refine params)
-            scratch query
+          Database.with_scratch (fun scratch ->
+              Database.put scratch input (pull_table t ~gov input);
+              let coeffs = Pb_core.Coeffs.make scratch query in
+              let shards = shard_count t in
+              let buckets = Array.make shards [] in
+              let rows = Relation.rows coeffs.Pb_core.Coeffs.candidates in
+              Array.iteri
+                (fun i row ->
+                  let s = Hash.shard_of_row ~shards row in
+                  buckets.(s) <- i :: buckets.(s))
+                rows;
+              let groups =
+                Array.to_list buckets
+                |> List.filter_map (fun b ->
+                       match List.rev b with
+                       | [] -> None
+                       | l -> Some (Array.of_list l))
+                |> Array.of_list
+              in
+              let params =
+                {
+                  Pb_core.Sketch_refine.default_params with
+                  prepartition = (if Array.length groups = 0 then None else Some groups);
+                }
+              in
+              Pb_core.Engine.run ~gov
+                ~strategy:(Pb_core.Engine.Sketch_refine params)
+                scratch query)
         with
         | exception Failure msg -> ok ("error: " ^ msg)
         | exception Shard_error msg -> ok ("shard error: " ^ msg)

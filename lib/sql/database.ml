@@ -10,6 +10,8 @@ module Relation = Pb_relation.Relation
    (table, column) index is built at most once and lookups never observe
    a resizing table. Relations themselves are immutable, so returned
    values are safe to read without the lock. *)
+type derived = ..
+
 type t = {
   mu : Mutex.t;
   tables : (string, Relation.t) Hashtbl.t;
@@ -24,6 +26,12 @@ type t = {
      catalogs. *)
   columnar_cache :
     (string, Value.t array array * Pb_store.Table.t) Hashtbl.t;
+  (* One value derived from a table's rows by a layer above the catalog
+     (SketchRefine's partitioning), with the same lifecycle as the
+     columnar image: keyed by the row store it was computed from, dropped
+     whenever the relation is replaced, its bytes counted in the same
+     gauge. *)
+  derived_cache : (string, Value.t array array * derived * int) Hashtbl.t;
   (* Schema/DDL generation: bumped when the set of tables, a table's
      schema, or the declared indexes change — NOT on schema-preserving DML
      (INSERT/DELETE/UPDATE replace the relation with one of identical
@@ -40,6 +48,7 @@ let create () =
     declared_indexes = Hashtbl.create 8;
     index_cache = Hashtbl.create 8;
     columnar_cache = Hashtbl.create 8;
+    derived_cache = Hashtbl.create 8;
     version = Atomic.make 0;
   }
 
@@ -65,6 +74,13 @@ let forget_columnar_unlocked db name =
       Hashtbl.remove db.columnar_cache name;
       Pb_store.Table.add_resident (-Pb_store.Table.bytes t)
 
+let forget_derived_unlocked db name =
+  match Hashtbl.find_opt db.derived_cache name with
+  | None -> ()
+  | Some (_, _, bytes) ->
+      Hashtbl.remove db.derived_cache name;
+      Pb_store.Table.add_resident (-bytes)
+
 let find_unlocked db name = Hashtbl.find_opt db.tables (normalize name)
 
 let put db name rel =
@@ -78,6 +94,7 @@ let put db name rel =
       Hashtbl.replace db.tables name rel;
       invalidate_indexes_unlocked db name;
       forget_columnar_unlocked db name;
+      forget_derived_unlocked db name;
       if schema_changed then Atomic.incr db.version)
 
 let find db name = locked db (fun () -> find_unlocked db name)
@@ -94,12 +111,31 @@ let drop db name =
       Hashtbl.remove db.tables name;
       Hashtbl.remove db.declared_indexes name;
       invalidate_indexes_unlocked db name;
-      forget_columnar_unlocked db name)
+      forget_columnar_unlocked db name;
+      forget_derived_unlocked db name)
 
 let table_names db =
   locked db (fun () ->
       List.sort String.compare
         (Hashtbl.fold (fun k _ acc -> k :: acc) db.tables []))
+
+(* Every cached image and derived value leaves the gauge, including any
+   keyed by a name the catalog never stored. *)
+let with_scratch f =
+  let db = create () in
+  let release () =
+    locked db (fun () ->
+        Hashtbl.iter
+          (fun _ (_, t) -> Pb_store.Table.add_resident (-Pb_store.Table.bytes t))
+          db.columnar_cache;
+        Hashtbl.iter
+          (fun _ (_, _, bytes) -> Pb_store.Table.add_resident (-bytes))
+          db.derived_cache;
+        Hashtbl.reset db.columnar_cache;
+        Hashtbl.reset db.derived_cache;
+        Hashtbl.reset db.tables)
+  in
+  Fun.protect ~finally:release (fun () -> f db)
 
 let create_index db ~table ~column =
   let table = normalize table and column = normalize column in
@@ -182,6 +218,22 @@ let columnar_cached db name rel =
       match Hashtbl.find_opt db.columnar_cache (normalize name) with
       | Some (store, t) when store == Relation.rows rel -> Some t
       | _ -> None)
+
+let derived db name rel =
+  locked db (fun () ->
+      match Hashtbl.find_opt db.derived_cache (normalize name) with
+      | Some (store, d, _) when store == Relation.rows rel -> Some d
+      | _ -> None)
+
+let set_derived db name rel d ~bytes =
+  let name = normalize name in
+  locked db (fun () ->
+      match find_unlocked db name with
+      | Some stored when Relation.rows stored == Relation.rows rel ->
+          forget_derived_unlocked db name;
+          Hashtbl.replace db.derived_cache name (Relation.rows rel, d, bytes);
+          Pb_store.Table.add_resident bytes
+      | _ -> ())
 
 let infer_column_ty cells =
   let non_null = List.filter (fun v -> v <> Value.Null) cells in

@@ -18,6 +18,14 @@ type t
 
 val create : unit -> t
 
+val with_scratch : (t -> 'a) -> 'a
+(** [with_scratch f] runs [f] on a fresh catalog and, when [f] returns or
+    raises, releases everything it cached: its columnar images and
+    derived values leave the process-wide [pb_store_bytes_resident]
+    gauge. Per-request scratch catalogs (router merges, local-search
+    temp tables) use it; a bare {!create} keeps its bytes counted until
+    its tables are dropped. *)
+
 val version : t -> int
 (** Schema/DDL generation counter: bumps when a table is created, dropped
     or replaced with a different schema, or an index is declared — but not
@@ -61,6 +69,27 @@ val columnar_cached :
 (** The cached columnar image for exactly this snapshot — never triggers
     a build (used by {!Persist} to stream from columns when they are
     already resident). *)
+
+type derived = ..
+(** A value computed from one table snapshot by a layer above the
+    catalog, which extends this type with its own constructor (the
+    SketchRefine partitioning in [Pb_core]). *)
+
+val derived : t -> string -> Pb_relation.Relation.t -> derived option
+(** [derived db name rel] is table [name]'s derived value when it was
+    computed from the same physical row store as [rel] (the check
+    {!columnar} makes), [None] otherwise. Never computes anything. *)
+
+val set_derived :
+  t -> string -> Pb_relation.Relation.t -> derived -> bytes:int -> unit
+(** [set_derived db name rel d ~bytes] installs [d] as table [name]'s one
+    derived value, replacing the previous one, but only while [name]
+    still stores [rel]'s row store; otherwise it does nothing (a
+    concurrent write won, and [d] describes a dead snapshot). Like the
+    columnar image, the slot is dropped whenever the table is replaced
+    or dropped ({!put}, {!drop}, so every INSERT, UPDATE, DELETE, DROP
+    and CSV load), and [bytes] count in [pb_store_bytes_resident] while
+    it is held. *)
 
 val load_csv : t -> name:string -> string -> unit
 (** [load_csv db ~name path] creates table [name] from a CSV file whose

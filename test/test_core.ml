@@ -436,6 +436,36 @@ let test_sql_replacements_k2 () =
   let moves2, _ = Local_search.sql_replacements db c pkg ~k:2 in
   Alcotest.(check bool) "k=2 finds fixes" true (List.length moves2 > 0)
 
+(* The neighbourhood query runs on a scratch catalog whose temp-table
+   images must leave the process-wide resident-bytes gauge with it. *)
+let test_sql_replacements_release_bytes () =
+  let resident () =
+    match
+      List.assoc_opt "pb_store_bytes_resident" (Pb_obs.Metrics.snapshot ())
+    with
+    | Some v -> v
+    | None -> 0.0
+  in
+  let saved = Pb_store.Mode.current () in
+  Pb_store.Mode.set Pb_store.Mode.Columnar;
+  Fun.protect
+    ~finally:(fun () -> Pb_store.Mode.set saved)
+    (fun () ->
+      let db = items_db 6 in
+      let query =
+        q "SELECT PACKAGE(i) AS p FROM items i SUCH THAT COUNT(*) = 2 AND \
+           SUM(p.w) <= 7"
+      in
+      let c = Coeffs.make db query in
+      let pkg =
+        Package.of_indices (Semantics.candidates db query) ~alias:"p" [ 4; 5 ]
+      in
+      let before = resident () in
+      let moves, _ = Local_search.sql_replacements db c pkg ~k:1 in
+      Alcotest.(check bool) "found moves" true (moves <> []);
+      Alcotest.(check (float 0.0)) "gauge back to its prior value" before
+        (resident ()))
+
 let test_hybrid_choices () =
   (* Small space -> brute force; bigger linear -> ilp. *)
   let db_small = items_db 6 in
@@ -634,6 +664,8 @@ let suite =
     Alcotest.test_case "sql replacements (paper example)" `Quick
       test_sql_replacements_match_paper_example;
     Alcotest.test_case "sql replacements k=2" `Quick test_sql_replacements_k2;
+    Alcotest.test_case "sql replacements release scratch bytes" `Quick
+      test_sql_replacements_release_bytes;
     Alcotest.test_case "hybrid strategy choices" `Quick test_hybrid_choices;
     Alcotest.test_case "pre-cancelled governance token" `Quick
       test_precancelled_gov;

@@ -420,6 +420,265 @@ let test_deadline_mid_refine () =
       let s2 = milp_nodes_total () in
       Alcotest.(check (float 0.0)) "no MILP still running after return" s1 s2
 
+(* ---- partition reuse across queries --------------------------------- *)
+
+module Database = Pb_sql.Database
+module Mode = Pb_store.Mode
+
+let metric name =
+  match List.assoc_opt name (Pb_obs.Metrics.snapshot ()) with
+  | Some v -> v
+  | None -> 0.0
+
+let reuses () = metric "pb_engine_sketch_partition_reuses_total"
+let resident () = metric "pb_store_bytes_resident"
+
+let with_mode mode f =
+  let saved = Mode.current () in
+  Mode.set mode;
+  Fun.protect ~finally:(fun () -> Mode.set saved) f
+
+let exec db sql = ignore (Pb_sql.Executor.execute_sql db sql)
+
+let reuse_query =
+  "SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) BETWEEN 1 AND 6 AND \
+   SUM(P.a) <= 60 MAXIMIZE SUM(P.b)"
+
+let sr_params ?prepartition partitions =
+  { Pb_core.Sketch_refine.partitions; fanout = 4; prepartition }
+
+(* The fingerprint of a sketch-refine run of [text], and whether its
+   partitioning came from the table's cache. *)
+let run_sr ?(params = sr_params (Some 12)) db text =
+  let before = reuses () in
+  let r =
+    Engine.run ~gov:(Gov.unlimited ())
+      ~strategy:(Engine.Sketch_refine params) db
+      (Pb_paql.Parser.parse text)
+  in
+  (fingerprint r, reuses () > before)
+
+(* [f] on a new catalog holding a copy of [db]'s rows. *)
+let with_fresh_copy db f =
+  let rel = Database.find_exn db "t" in
+  Database.with_scratch (fun fresh ->
+      Database.put fresh "t"
+        (Relation.create (Relation.schema rel) (Relation.to_list rel));
+      f fresh)
+
+let run_fresh ?params db text =
+  with_fresh_copy db (fun fresh -> fst (run_sr ?params fresh text))
+
+let csv_reload db =
+  let rel = Database.find_exn db "t" in
+  let path = Filename.temp_file "pb_partition" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc "id,a,b\n";
+      Array.iter
+        (fun row ->
+          output_string oc
+            (String.concat ","
+               (Array.to_list (Array.map Value.to_string row)));
+          output_char oc '\n')
+        (Relation.rows rel);
+      close_out oc;
+      Database.load_csv db ~name:"t" path)
+
+(* A repeated query reuses the partitioning with an identical answer;
+   every kind of write to the table forces one rebuild, whose answer is
+   a fresh catalog's, and the run after it reuses again. *)
+let test_reuse_and_invalidation mode () =
+  with_mode mode (fun () ->
+      let db = mk_db ~seed:5 200 in
+      let first, hit = run_sr db reuse_query in
+      Alcotest.(check bool) "first run builds" false hit;
+      let again, hit = run_sr db reuse_query in
+      Alcotest.(check bool) "repeat run reuses" true hit;
+      Alcotest.(check bool) "reuse answers identically" true (first = again);
+      let other, hit = run_sr ~params:(sr_params (Some 7)) db reuse_query in
+      Alcotest.(check bool) "another target builds" false hit;
+      Alcotest.(check bool) "its answer is a fresh catalog's" true
+        (other = run_fresh ~params:(sr_params (Some 7)) db reuse_query);
+      let writes =
+        [
+          ("INSERT", fun () -> exec db "INSERT INTO t VALUES (1001, 7, 99)");
+          ("UPDATE", fun () -> exec db "UPDATE t SET b = b + 1 WHERE id <= 20");
+          ("DELETE", fun () -> exec db "DELETE FROM t WHERE id = 3");
+          ( "DROP+CREATE",
+            fun () ->
+              (* the very same rows come back under the same name: the
+                 slot went with the DROP, not with the rows *)
+              let rel = Database.find_exn db "t" in
+              exec db "DROP TABLE t";
+              Database.put db "t" rel );
+          ("CSV reload", fun () -> csv_reload db);
+        ]
+      in
+      List.iter
+        (fun (name, write) ->
+          ignore (run_sr db reuse_query);
+          write ();
+          let after, hit = run_sr db reuse_query in
+          Alcotest.(check bool) (name ^ " forces a rebuild") false hit;
+          Alcotest.(check bool)
+            (name ^ ": answer equals a fresh catalog's")
+            true
+            (after = run_fresh db reuse_query);
+          Alcotest.(check bool) (name ^ ": next run reuses") true
+            (snd (run_sr db reuse_query)))
+        writes)
+
+(* Filtered candidate sets and caller-imposed groupings build fresh
+   every time and neither read nor fill the slot. *)
+let test_slot_bypass mode () =
+  with_mode mode (fun () ->
+      let db = mk_db ~seed:6 200 in
+      let slot_empty () =
+        Option.is_none (Database.derived db "t" (Database.find_exn db "t"))
+      in
+      let filtered =
+        "SELECT PACKAGE(R) AS P FROM t R WHERE R.a > 10 SUCH THAT COUNT(*) \
+         BETWEEN 1 AND 6 AND SUM(P.a) <= 60 MAXIMIZE SUM(P.b)"
+      in
+      let evens_odds =
+        [| Array.init 100 (fun i -> 2 * i); Array.init 100 (fun i -> (2 * i) + 1) |]
+      in
+      let pre = sr_params ~prepartition:evens_odds (Some 12) in
+      let runs_fresh name run =
+        Alcotest.(check bool) (name ^ ": first run builds") false (snd (run ()));
+        Alcotest.(check bool) (name ^ ": repeat builds again") false
+          (snd (run ()))
+      in
+      runs_fresh "filtered" (fun () -> run_sr db filtered);
+      runs_fresh "prepartition" (fun () -> run_sr ~params:pre db reuse_query);
+      Alcotest.(check bool) "the slot stays empty" true (slot_empty ());
+      ignore (run_sr db reuse_query);
+      Alcotest.(check bool) "an unfiltered run fills it" false (slot_empty ());
+      runs_fresh "filtered beside a full slot" (fun () -> run_sr db filtered);
+      runs_fresh "prepartition beside a full slot" (fun () ->
+          run_sr ~params:pre db reuse_query);
+      Alcotest.(check bool) "the unfiltered query still reuses" true
+        (snd (run_sr db reuse_query)))
+
+(* The slot's bytes count in pb_store_bytes_resident until a write
+   replaces the table or DROP TABLE removes it. *)
+let test_slot_bytes mode () =
+  with_mode mode (fun () ->
+      let before = resident () in
+      let db = mk_db ~seed:8 200 in
+      ignore (run_sr db reuse_query);
+      Alcotest.(check bool) "partitioning counted" true (resident () > before);
+      exec db "UPDATE t SET b = b + 1 WHERE id <= 20";
+      Alcotest.(check (float 0.0)) "gauge back after UPDATE" before
+        (resident ());
+      ignore (run_sr db reuse_query);
+      Alcotest.(check bool) "rebuilt partitioning counted" true
+        (resident () > before);
+      exec db "DROP TABLE t";
+      Alcotest.(check (float 0.0)) "gauge back after DROP TABLE" before
+        (resident ()))
+
+(* Random sketch-refine queries interleaved with random writes on one
+   long-lived catalog: every answer (package, objective, bound, gap)
+   equals the one a fresh catalog holding the same rows gives. *)
+type op =
+  | Query of { shape : int; lo : int; hi : int; cap : int; parts : int option }
+  | Insert of int * int
+  | Update of int * int
+  | Delete of int * int
+
+let query_text ~shape ~lo ~hi ~cap =
+  let count = Printf.sprintf "COUNT(*) BETWEEN %d AND %d" lo hi in
+  Printf.sprintf "SELECT PACKAGE(R) AS P FROM t R SUCH THAT %s"
+    (match shape with
+    | 0 -> Printf.sprintf "%s AND SUM(P.a) <= %d MAXIMIZE SUM(P.b)" count cap
+    | 1 -> Printf.sprintf "%s AND SUM(P.b) >= %d MINIMIZE SUM(P.a)" count cap
+    | 2 -> Printf.sprintf "%s MAXIMIZE SUM(P.b)" count
+    | _ -> count)
+
+let op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 6,
+        (* few keys, so consecutive queries often share a partitioning *)
+        let* shape = frequencyl [ (4, 0); (1, 1); (2, 2); (1, 3) ] in
+        let* lo = int_range 1 3 in
+        let* width = int_bound 3 in
+        let* cap = int_range 20 150 in
+        let* parts = frequencyl [ (4, None); (1, Some 5); (1, Some 12) ] in
+        return (Query { shape; lo; hi = lo + width; cap; parts }) );
+      (2, map2 (fun a b -> Insert (a, b)) (int_range 1 50) (int_bound 99));
+      (1, map2 (fun lo w -> Update (lo, w)) (int_range 1 120) (int_range 1 40));
+      (1, map2 (fun lo w -> Delete (lo, w)) (int_range 1 120) (int_range 1 10));
+    ]
+
+let print_op = function
+  | Query { shape; lo; hi; cap; parts } ->
+      Printf.sprintf "Q(shape=%d count=%d..%d cap=%d parts=%s)" shape lo hi cap
+        (match parts with None -> "sqrt" | Some k -> string_of_int k)
+  | Insert (a, b) -> Printf.sprintf "INSERT(a=%d b=%d)" a b
+  | Update (lo, w) -> Printf.sprintf "UPDATE(id=%d..%d)" lo (lo + w - 1)
+  | Delete (lo, w) -> Printf.sprintf "DELETE(id=%d..%d)" lo (lo + w - 1)
+
+let prop_reuse_differential =
+  QCheck.Test.make ~count:25
+    ~name:"sketch-refine with partition reuse == fresh catalog under DML"
+    (QCheck.make
+       ~print:(fun (columnar, seed, ops) ->
+         Printf.sprintf "columnar=%b seed=%d ops=[%s]" columnar seed
+           (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(
+         triple bool (int_bound 10_000) (list_size (int_range 4 12) op_gen)))
+    (fun (columnar, seed, ops) ->
+      with_mode (if columnar then Mode.Columnar else Mode.Row) (fun () ->
+          let db = mk_db ~seed 120 in
+          let next_id = ref 1000 in
+          let answer db text parts =
+            let c = Coeffs.make db (Pb_paql.Parser.parse text) in
+            let o =
+              Pb_core.Sketch_refine.search ~params:(sr_params parts)
+                ~pool:(Pool.get_default ()) ~gov:(Gov.unlimited ()) c
+            in
+            ( Option.map Pb_paql.Package.multiplicities o.best,
+              o.best_objective,
+              o.bound,
+              o.gap )
+          in
+          List.for_all
+            (function
+              | Query { shape; lo; hi; cap; parts } ->
+                  let text = query_text ~shape ~lo ~hi ~cap in
+                  let got = answer db text parts in
+                  let want =
+                    with_fresh_copy db (fun fresh -> answer fresh text parts)
+                  in
+                  (* [compare], not [=]: a NaN must equal itself *)
+                  compare got want = 0
+                  || QCheck.Test.fail_reportf "%s differs from a fresh catalog"
+                       text
+              | Insert (a, b) ->
+                  incr next_id;
+                  exec db
+                    (Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d)" !next_id
+                       a b);
+                  true
+              | Update (lo, w) ->
+                  exec db
+                    (Printf.sprintf
+                       "UPDATE t SET b = b + 7 WHERE id >= %d AND id < %d" lo
+                       (lo + w));
+                  true
+              | Delete (lo, w) ->
+                  exec db
+                    (Printf.sprintf "DELETE FROM t WHERE id >= %d AND id < %d"
+                       lo (lo + w));
+                  true)
+            ops))
+
 let suite =
   [
     Alcotest.test_case "partition invariants on random inputs" `Quick
@@ -436,4 +695,18 @@ let suite =
       test_pool_determinism;
     Alcotest.test_case "deadline mid-refine yields Feasible incumbent" `Slow
       test_deadline_mid_refine;
+    Alcotest.test_case "partition reuse and invalidation (row)" `Quick
+      (test_reuse_and_invalidation Mode.Row);
+    Alcotest.test_case "partition reuse and invalidation (columnar)" `Quick
+      (test_reuse_and_invalidation Mode.Columnar);
+    Alcotest.test_case "filtered and prepartitioned runs skip the slot (row)"
+      `Quick (test_slot_bypass Mode.Row);
+    Alcotest.test_case
+      "filtered and prepartitioned runs skip the slot (columnar)" `Quick
+      (test_slot_bypass Mode.Columnar);
+    Alcotest.test_case "partition bytes leave the gauge on DROP (row)" `Quick
+      (test_slot_bytes Mode.Row);
+    Alcotest.test_case "partition bytes leave the gauge on DROP (columnar)"
+      `Quick (test_slot_bytes Mode.Columnar);
+    QCheck_alcotest.to_alcotest prop_reuse_differential;
   ]

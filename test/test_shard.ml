@@ -353,6 +353,67 @@ let test_router_matches_single_node () =
                 (String.length h >= 16 && String.sub h 0 16 = "{\"status\":\"ok\",\"")))
   )
 
+(* Router reads build their answers on per-request scratch catalogs
+   (merged partials, scan-pulled tables, the pulled PaQL input); their
+   images must leave the process-wide resident-bytes gauge when the
+   request ends. The first round warms the shards' own images, which
+   stay resident; the second must not move the gauge. *)
+let test_router_scratch_releases_bytes () =
+  let resident () =
+    match
+      List.assoc_opt "pb_store_bytes_resident" (Pb_obs.Metrics.snapshot ())
+    with
+    | Some v -> v
+    | None -> 0.0
+  in
+  let full = Pb_workload.Workload.recipes ~seed:12 ~n:60 () in
+  let shard_db i =
+    let db = Database.create () in
+    Database.put db "recipes" (Hash.filter_shard ~shards:2 ~shard:i full);
+    db
+  in
+  let reads =
+    [
+      ("merged", "SELECT COUNT(*), SUM(calories), MAX(cost) FROM recipes");
+      ( "scan-pull",
+        "SELECT a.id, b.id FROM recipes a, recipes b WHERE a.calories > 300 \
+         AND a.id < b.id AND a.calories + b.calories < 900 ORDER BY a.id, \
+         b.id" );
+      ("paql", paql_line);
+    ]
+  in
+  let saved = Pb_store.Mode.current () in
+  Pb_store.Mode.set Pb_store.Mode.Columnar;
+  Fun.protect
+    ~finally:(fun () -> Pb_store.Mode.set saved)
+    (fun () ->
+      Server.with_server ~config:server_config (shard_db 0) (fun s0 ->
+          Server.with_server ~config:server_config (shard_db 1) (fun s1 ->
+              let router =
+                Router.create ~connect_timeout:5.0
+                  ~shards:
+                    [|
+                      ("127.0.0.1", Server.port s0);
+                      ("127.0.0.1", Server.port s1);
+                    |]
+                  (Database.create ())
+              in
+              let read line =
+                ignore (Router.handle router ~gov:(Gov.create ()) line)
+              in
+              Fun.protect
+                ~finally:(fun () -> Router.close router)
+                (fun () ->
+                  List.iter (fun (_, line) -> read line) reads;
+                  List.iter
+                    (fun (name, line) ->
+                      let before = resident () in
+                      read line;
+                      Alcotest.(check (float 0.0))
+                        (name ^ " read leaves the gauge where it was")
+                        before (resident ()))
+                    reads))))
+
 let suite =
   [
     Alcotest.test_case "hash golden values" `Quick test_hash_golden;
@@ -372,4 +433,6 @@ let suite =
       test_prepartition_tolerates_garbage;
     Alcotest.test_case "router matches single node over sockets" `Quick
       test_router_matches_single_node;
+    Alcotest.test_case "router scratch catalogs release resident bytes"
+      `Quick test_router_scratch_releases_bytes;
   ]

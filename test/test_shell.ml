@@ -306,7 +306,9 @@ let test_repl_explain_and_complete () =
 
 (* \explain analyze attributes the candidate phase: a coeffs.make span
    with the candidate count and which path built it, and, on the first
-   columnar touch of a table, the image build under it. *)
+   columnar touch of a table, the image build under it. Its
+   sketch-refine.partition span says whether the partitioning was
+   reused. *)
 let test_repl_explain_analyze_spans () =
   let analyze mode =
     let saved = Pb_store.Mode.current () in
@@ -344,7 +346,30 @@ let test_repl_explain_analyze_spans () =
   Alcotest.(check bool) "row path is not batch" true
     (contains row "batch=false");
   Alcotest.(check bool) "row path builds no image" false
-    (builds_recipes row)
+    (builds_recipes row);
+  (* SketchRefine partitions an unfiltered relation once: the second run
+     of the same query reuses the first run's partitioning. *)
+  let st = shell () in
+  ignore (Repl.handle st "\\strategy sketch-refine");
+  let unfiltered =
+    "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND \
+     SUM(P.calories) <= 1600 MAXIMIZE SUM(P.protein)"
+  in
+  let partition_cached out =
+    List.find_map
+      (fun l ->
+        if not (contains l "sketch-refine.partition") then None
+        else if contains l "cached=true" then Some true
+        else if contains l "cached=false" then Some false
+        else None)
+      (String.split_on_char '\n' out)
+  in
+  let first = Repl.handle st ("\\explain analyze " ^ unfiltered) in
+  let again = Repl.handle st ("\\explain analyze " ^ unfiltered) in
+  Alcotest.(check (option bool)) "first run builds the partitioning"
+    (Some false) (partition_cached first.Repl.output);
+  Alcotest.(check (option bool)) "second run reuses it" (Some true)
+    (partition_cached again.Repl.output)
 
 let test_repl_next () =
   let st = shell () in
